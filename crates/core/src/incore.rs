@@ -203,9 +203,11 @@ pub async fn psrs_incore_split<R: Record>(
     let received: u64 = incoming.iter().map(|b| (b.len() / R::SIZE) as u64).sum();
     let mut tree = LoserTree::new(streams).expect("in-memory streams cannot fail");
     let mut sorted = Vec::with_capacity(received as usize);
-    while let Some(x) = tree.next_record().expect("in-memory streams cannot fail") {
-        sorted.push(x);
-    }
+    tree.drain_into(|batch| {
+        sorted.extend_from_slice(batch);
+        Ok(())
+    })
+    .expect("in-memory streams cannot fail");
     // Tournament selects resolve on cached keys under a key-based kernel.
     let selects = tree.comparisons();
     let select_work = if kernel.key_based::<R>() {

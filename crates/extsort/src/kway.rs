@@ -18,7 +18,7 @@ use crate::loser_tree::LoserTree;
 use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::{MergeReport, SortReport};
 use crate::run_formation::{form_runs, FormedRuns};
-use crate::stream::Bounded;
+use crate::stream::{Bounded, MergeWriter, RecordStream};
 
 /// Sorts `input` into `output` with a balanced k-way merge sort using the
 /// same file budget as [`crate::polyphase::polyphase_sort`] (fan-in `T/2`).
@@ -134,75 +134,45 @@ fn merge_run_group<R: Record>(
 ) -> PdmResult<MergeReport> {
     let records: u64 = group.iter().map(|r| r.len).sum();
     let workers = planned_workers::<R>(disk, &cfg.pipeline, group.len(), records, cfg.kernel);
-    if workers > 1 {
+    let streams = if workers > 1 { workers } else { group.len() } + 1;
+    let mut writer = MergeWriter::<R>::create(disk, output, &cfg.pipeline, streams, pool)?;
+    let (produced, comparisons) = if workers > 1 {
         let segments: Vec<MergeSegment> = group
             .iter()
             .map(|r| MergeSegment::new(files[r.file].clone(), r.offset, r.len))
             .collect();
-        let (produced, comparisons) = if cfg.pipeline.enabled {
-            let depth = cfg.pipeline.depth_for(disk.model(), workers + 1);
-            let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-            let out = parallel_merge_segments::<R, _>(disk, &segments, workers, pool, |batch| {
-                writer.push_all(batch)
-            })?;
-            writer.finish()?;
-            (out.records, out.comparisons)
-        } else {
-            let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-            let out = parallel_merge_segments::<R, _>(disk, &segments, workers, pool, |batch| {
-                writer.push_all(batch)
-            })?;
-            writer.finish()?;
-            (out.records, out.comparisons)
-        };
-        let key_based = cfg.kernel.key_based::<R>();
-        return Ok(MergeReport {
-            records: produced,
-            fan_in: group.len(),
-            comparisons: if key_based { 0 } else { comparisons },
-            key_ops: if key_based { comparisons } else { 0 },
-            io: Default::default(),
-        });
-    }
-    let mut readers = Vec::with_capacity(group.len());
-    for r in group {
-        let mut rd = disk.open_reader_pooled::<R>(&files[r.file], Some(pool.clone()))?;
-        rd.seek(r.offset);
-        readers.push(rd);
-    }
-    let mut views = Vec::with_capacity(group.len());
-    for (rd, r) in readers.iter_mut().zip(group) {
-        views.push(Bounded::new(rd, r.len));
-    }
-    let mut tree = LoserTree::new(views)?;
-    let mut produced = 0u64;
-    let comparisons;
-    if cfg.pipeline.enabled {
-        let depth = cfg.pipeline.depth_for(disk.model(), group.len() + 1);
-        let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-        while let Some(x) = tree.next_record()? {
-            writer.push(x)?;
-            produced += 1;
-        }
-        comparisons = tree.comparisons();
-        writer.finish()?;
+        let out = parallel_merge_segments::<R, _>(disk, &segments, workers, pool, |batch| {
+            writer.push_all(batch)
+        })?;
+        (out.records, out.comparisons)
     } else {
-        let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-        while let Some(x) = tree.next_record()? {
-            writer.push(x)?;
-            produced += 1;
+        let mut views = Vec::with_capacity(group.len());
+        for r in group {
+            let mut rd = disk.open_reader_pooled::<R>(&files[r.file], Some(pool.clone()))?;
+            rd.seek(r.offset);
+            views.push(Bounded::new(rd, r.len));
         }
-        comparisons = tree.comparisons();
-        writer.finish()?;
-    }
-    let key_based = cfg.kernel.key_based::<R>();
-    Ok(MergeReport {
-        records: produced,
-        fan_in: group.len(),
-        comparisons: if key_based { 0 } else { comparisons },
-        key_ops: if key_based { comparisons } else { 0 },
-        io: Default::default(),
-    })
+        tree_merge(views, &mut writer)?
+    };
+    writer.finish()?;
+    Ok(merge_report::<R>(
+        produced,
+        group.len(),
+        comparisons,
+        cfg.kernel,
+        Default::default(),
+    ))
+}
+
+/// Merges `sources` into `writer` with one loser tree, a block at a time;
+/// returns `(records, selects)`.
+fn tree_merge<R: Record, S: RecordStream<R>>(
+    sources: Vec<S>,
+    writer: &mut MergeWriter<R>,
+) -> PdmResult<(u64, u64)> {
+    let mut tree = LoserTree::new(sources)?;
+    let produced = tree.drain_into(|batch| writer.push_all(batch))?;
+    Ok((produced, tree.comparisons()))
 }
 
 /// Single-pass multiway merge of complete sorted files into `output`.
@@ -250,75 +220,58 @@ pub fn merge_sorted_files_kernel<R: Record>(
         total += disk.len_records::<R>(name)?;
     }
     let workers = planned_workers::<R>(disk, pipeline, inputs.len(), total, kernel);
-    let produced;
-    let comparisons;
-    if workers > 1 {
+    let streams = if workers > 1 { workers } else { inputs.len() } + 1;
+    let mut writer = MergeWriter::<R>::create(disk, output, pipeline, streams, &pool)?;
+    let (produced, comparisons) = if workers > 1 {
         let mut segments = Vec::with_capacity(inputs.len());
         for name in inputs {
-            segments.push(MergeSegment::new(
-                name.clone(),
-                0,
-                disk.len_records::<R>(name)?,
-            ));
+            segments.push(MergeSegment::whole_file::<R>(disk, name)?);
         }
-        let out = if pipeline.enabled {
-            let depth = pipeline.depth_for(disk.model(), workers + 1);
-            let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-            let out = parallel_merge_segments::<R, _>(disk, &segments, workers, &pool, |batch| {
-                writer.push_all(batch)
-            })?;
-            writer.finish()?;
-            out
-        } else {
-            let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-            let out = parallel_merge_segments::<R, _>(disk, &segments, workers, &pool, |batch| {
-                writer.push_all(batch)
-            })?;
-            writer.finish()?;
-            out
-        };
-        produced = out.records;
-        comparisons = out.comparisons;
+        let out = parallel_merge_segments::<R, _>(disk, &segments, workers, &pool, |batch| {
+            writer.push_all(batch)
+        })?;
+        (out.records, out.comparisons)
     } else if pipeline.enabled {
-        let depth = pipeline.depth_for(disk.model(), inputs.len() + 1);
+        let depth = pipeline.depth_for(disk.model(), streams);
         let mut readers = Vec::with_capacity(inputs.len());
         for name in inputs {
             readers.push(disk.open_prefetch_reader::<R>(name, depth, pool.clone())?);
         }
-        let mut writer = disk.create_write_behind::<R>(output, depth, pool.clone())?;
-        let mut tree = LoserTree::new(readers)?;
-        let mut n = 0u64;
-        while let Some(x) = tree.next_record()? {
-            writer.push(x)?;
-            n += 1;
-        }
-        produced = n;
-        comparisons = tree.comparisons();
-        writer.finish()?;
+        tree_merge(readers, &mut writer)?
     } else {
         let mut readers = Vec::with_capacity(inputs.len());
         for name in inputs {
             readers.push(disk.open_reader_pooled::<R>(name, Some(pool.clone()))?);
         }
-        let mut writer = disk.create_writer_pooled::<R>(output, Some(pool.clone()))?;
-        let mut tree = LoserTree::new(readers)?;
-        let mut n = 0u64;
-        while let Some(x) = tree.next_record()? {
-            writer.push(x)?;
-            n += 1;
-        }
-        produced = n;
-        comparisons = tree.comparisons();
-        writer.finish()?;
-    }
+        tree_merge(readers, &mut writer)?
+    };
+    writer.finish()?;
+    Ok(merge_report::<R>(
+        produced,
+        inputs.len(),
+        comparisons,
+        kernel,
+        disk.stats().snapshot().delta(&io_before),
+    ))
+}
+
+/// A merge's report: tree selects are billed as key ops under a key-based
+/// kernel and as comparisons otherwise.
+fn merge_report<R: Record>(
+    records: u64,
+    fan_in: usize,
+    selects: u64,
+    kernel: SortKernel,
+    io: pdm::IoSnapshot,
+) -> MergeReport {
     let key_based = kernel.key_based::<R>();
-    Ok(MergeReport {
-        records: produced,
-        fan_in: inputs.len(),
-        comparisons: if key_based { 0 } else { comparisons },
-        key_ops: if key_based { comparisons } else { 0 },
-        io: disk.stats().snapshot().delta(&io_before),
-    })
+    MergeReport {
+        records,
+        fan_in,
+        comparisons: if key_based { 0 } else { selects },
+        key_ops: if key_based { selects } else { 0 },
+        io,
+    }
 }
 
 #[cfg(test)]
@@ -447,6 +400,21 @@ mod tests {
             d1.read_file::<u32>("out").unwrap(),
             d2.read_file::<u32>("out").unwrap()
         );
+    }
+
+    #[test]
+    fn torn_input_is_a_typed_error_without_output() {
+        // An input whose bytes end inside a record cannot hold the records
+        // its length implies: the merge must refuse it before writing.
+        let disk = Disk::in_memory(16);
+        disk.write_file::<u32>("a", &(0..40).collect::<Vec<_>>())
+            .unwrap();
+        disk.write_file::<u32>("b", &(0..40).collect::<Vec<_>>())
+            .unwrap();
+        disk.truncate("b", 4 * 30 + 2).unwrap();
+        let err = merge_sorted_files::<u32>(&disk, &["a".into(), "b".into()], "m").unwrap_err();
+        assert!(matches!(err, pdm::PdmError::Corrupt { .. }), "{err}");
+        assert!(!disk.exists("m"), "no partial output");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`kernel`] — pluggable in-core sort kernels: the radix fast path on
 //!   order-preserving `sort_key()`s (the default) and the comparison-based
 //!   reference path, byte-identical by construction.
-//! * [`loser_tree::LoserTree`] — tournament-tree k-way merge with cached
-//!   winner keys, branch-free replay and exact select counting.
+//! * [`loser_tree::LoserTree`] — tournament-tree k-way merge over
+//!   block-buffered leaves with packed `(key, leaf)` node tags, branch-free
+//!   replay and exact select counting.
 //! * [`streaming::StreamingLoserTree`] — the push-model variant: the
 //!   caller feeds head records as they become available (e.g. network
 //!   chunks mid-flight), enabling the cluster layer's fused

@@ -34,7 +34,7 @@
 use std::sync::mpsc::sync_channel;
 use std::time::Instant;
 
-use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record};
+use pdm::{BlockReader, BufferPool, Disk, PdmError, PdmResult, Record};
 
 use crate::config::PipelineConfig;
 use crate::kernel::SortKernel;
@@ -43,9 +43,6 @@ use crate::stream::Bounded;
 
 /// Hard cap on merge workers (also sizes the static span-name table).
 pub const MAX_MERGE_WORKERS: usize = 8;
-
-/// Records per batch shipped from a merge worker to the writer thread.
-const BATCH_RECORDS: usize = 1024;
 
 /// Batches each worker may queue ahead of the writer (backpressure bound).
 const QUEUE_BATCHES: usize = 4;
@@ -400,6 +397,16 @@ where
     R: Record,
     F: FnMut(&[R]) -> PdmResult<()>,
 {
+    for seg in segments {
+        let have = disk.len_records::<R>(&seg.file)?;
+        if seg.offset.checked_add(seg.len).is_none_or(|end| end > have) {
+            return Err(PdmError::SizeMismatch {
+                what: format!("merge segment {:?} at record {}", seg.file, seg.offset),
+                expect: seg.len,
+                got: have.saturating_sub(seg.offset),
+            });
+        }
+    }
     let w = workers.clamp(1, MAX_MERGE_WORKERS);
     let probe_before = disk.stats().snapshot();
     let plan = if w > 1 {
@@ -450,22 +457,10 @@ where
         let ranges: Vec<(u64, u64)> = (0..segments.len())
             .map(|s| (plan.cuts[0][s], plan.cuts[1][s]))
             .collect();
-        let mut err = None;
-        let mut sink = |batch: Vec<R>| -> bool {
+        comparisons = run_range_worker::<R>(disk, segments, pool, rpb, &ranges, |batch| {
             total_records += batch.len() as u64;
-            match emit(&batch) {
-                Ok(()) => true,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        };
-        let comps = run_range_worker::<R>(disk, segments, pool, rpb, &ranges, &mut sink)?;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        comparisons = comps;
+            emit(batch)
+        })?;
         if traced {
             spans.push((0, t0, epoch.elapsed().as_secs_f64()));
         }
@@ -481,9 +476,15 @@ where
                     .name(format!("merge-worker-{wi}"))
                     .spawn_scoped(scope, move || -> PdmResult<(u64, f64, f64)> {
                         let t0 = epoch.elapsed().as_secs_f64();
-                        let mut sink = |batch: Vec<R>| tx.send(batch).is_ok();
+                        // A failed send means the consumer bailed on an I/O
+                        // error it reports itself; stop merging.
+                        let sink = |batch: &[R]| {
+                            tx.send(batch.to_vec()).map_err(|_| {
+                                PdmError::Io(std::io::Error::other("merge consumer stopped"))
+                            })
+                        };
                         let comps =
-                            run_range_worker::<R>(disk, segments, pool, rpb, &ranges, &mut sink)?;
+                            run_range_worker::<R>(disk, segments, pool, rpb, &ranges, sink)?;
                         Ok((comps, t0, epoch.elapsed().as_secs_f64()))
                     })
                     .expect("spawn merge worker");
@@ -532,17 +533,17 @@ where
 
 /// One worker's merge body: open a pooled reader per non-empty range
 /// (applying the boundary-block metering rule), run a loser tree over the
-/// bounded views, and hand off records in batches through `sink` (which
-/// returns `false` when the consumer has bailed).
+/// bounded views, and drain it into `sink` a batch at a time. Returns the
+/// tree's select count.
 fn run_range_worker<R: Record>(
     disk: &Disk,
     segments: &[MergeSegment],
     pool: &BufferPool,
     rpb: u64,
     ranges: &[(u64, u64)],
-    sink: &mut dyn FnMut(Vec<R>) -> bool,
+    sink: impl FnMut(&[R]) -> PdmResult<()>,
 ) -> PdmResult<u64> {
-    let mut readers: Vec<(BlockReader<R>, u64)> = Vec::new();
+    let mut views = Vec::new();
     for (s, seg) in segments.iter().enumerate() {
         let (a, b) = ranges[s];
         if a >= b {
@@ -560,26 +561,10 @@ fn run_range_worker<R: Record>(
             // counters worker-count-invariant.
             rd.read_at(start)?;
         }
-        readers.push((rd, b - a));
-    }
-    let mut views = Vec::with_capacity(readers.len());
-    for (rd, n) in readers.iter_mut() {
-        views.push(Bounded::new(rd, *n));
+        views.push(Bounded::new(rd, b - a));
     }
     let mut tree = LoserTree::new(views)?;
-    let mut batch: Vec<R> = Vec::with_capacity(BATCH_RECORDS);
-    while let Some(x) = tree.next_record()? {
-        batch.push(x);
-        if batch.len() >= BATCH_RECORDS {
-            let full = std::mem::replace(&mut batch, Vec::with_capacity(BATCH_RECORDS));
-            if !sink(full) {
-                break; // consumer bailed on an I/O error
-            }
-        }
-    }
-    if !batch.is_empty() {
-        let _ = sink(batch);
-    }
+    tree.drain_into(sink)?;
     Ok(tree.comparisons())
 }
 
@@ -624,6 +609,59 @@ mod tests {
         for w in [1, 2, 3, 4, 8] {
             assert_eq!(merged(&disk, &segs, w), expect, "workers={w}");
         }
+    }
+
+    #[test]
+    fn segment_past_the_file_end_is_a_typed_error() {
+        let disk = Disk::in_memory(64); // 16 records per block
+        let segs = segments_for(&disk, &[(0..100).collect(), (0..50).collect()]);
+        let pool = BufferPool::default();
+        // Runs that end past the file (mid-block and block-aligned) or start
+        // past it.
+        for (offset, len) in [(0, 51), (40, 11), (48, 16), (60, 1)] {
+            let mut bad = segs.clone();
+            bad[1] = MergeSegment::new("seg1", offset, len);
+            for w in [1, 2] {
+                let mut emitted = 0;
+                let err = parallel_merge_segments::<u32, _>(&disk, &bad, w, &pool, |b| {
+                    emitted += b.len();
+                    Ok(())
+                })
+                .unwrap_err();
+                assert!(
+                    matches!(err, PdmError::SizeMismatch { expect, .. } if expect == len),
+                    "offset {offset} len {len} workers {w}: {err}"
+                );
+                assert_eq!(emitted, 0, "no short output before the error");
+            }
+        }
+    }
+
+    #[test]
+    fn short_run_in_a_tree_is_a_size_mismatch() {
+        // The sequential polyphase step bounds each tape reader to its run
+        // length; a file shorter than its run table must fail the merge.
+        let disk = Disk::in_memory(64);
+        disk.write_file::<u32>("a", &(0..40).collect::<Vec<_>>())
+            .unwrap();
+        disk.write_file::<u32>("b", &(0..30).collect::<Vec<_>>())
+            .unwrap();
+        let mut a = disk.open_reader::<u32>("a").unwrap();
+        let mut b = disk.open_reader::<u32>("b").unwrap();
+        let views = vec![Bounded::new(&mut a, 40), Bounded::new(&mut b, 31)];
+        let mut tree = LoserTree::new(views).unwrap();
+        let err = tree.drain_into(|_| Ok(())).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PdmError::SizeMismatch {
+                    expect: 31,
+                    got: 30,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -12,14 +12,14 @@
 
 use std::collections::VecDeque;
 
-use pdm::{BlockReader, BlockWriter, BufferPool, Disk, PdmResult, Record, WriteBehindWriter};
+use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record};
 
 use crate::config::ExtSortConfig;
 use crate::loser_tree::LoserTree;
 use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
 use crate::report::SortReport;
 use crate::run_formation::{form_runs, FormedRuns};
-use crate::stream::Bounded;
+use crate::stream::{Bounded, MergeWriter};
 
 /// Sorts `input` into a new file `output` using polyphase merge sort.
 ///
@@ -64,48 +64,6 @@ pub fn polyphase_sort<R: Record>(
 
     report.io = disk.stats().snapshot().delta(&io_before);
     Ok(report)
-}
-
-/// The per-phase output sink: a plain block writer, or a write-behind writer
-/// when the pipeline is on (the merge then overlaps the output transfers).
-enum PhaseWriter<R: Record> {
-    Sync(BlockWriter<R>),
-    Pipelined(WriteBehindWriter<R>),
-}
-
-impl<R: Record> PhaseWriter<R> {
-    fn create(disk: &Disk, name: &str, cfg: &ExtSortConfig, pool: &BufferPool) -> PdmResult<Self> {
-        if cfg.pipeline.enabled {
-            Ok(PhaseWriter::Pipelined(disk.create_write_behind::<R>(
-                name,
-                cfg.pipeline.depth_for(disk.model(), 2),
-                pool.clone(),
-            )?))
-        } else {
-            Ok(PhaseWriter::Sync(disk.create_writer::<R>(name)?))
-        }
-    }
-
-    fn push(&mut self, r: R) -> PdmResult<()> {
-        match self {
-            PhaseWriter::Sync(w) => w.push(r),
-            PhaseWriter::Pipelined(w) => w.push(r),
-        }
-    }
-
-    fn push_all(&mut self, rs: &[R]) -> PdmResult<()> {
-        match self {
-            PhaseWriter::Sync(w) => w.push_all(rs),
-            PhaseWriter::Pipelined(w) => w.push_all(rs),
-        }
-    }
-
-    fn finish(self) -> PdmResult<u64> {
-        match self {
-            PhaseWriter::Sync(w) => w.finish(),
-            PhaseWriter::Pipelined(w) => w.finish(),
-        }
-    }
 }
 
 /// One tape during the merge: a file plus its queue of run lengths.
@@ -201,7 +159,8 @@ fn merge_phases<R: Record>(
 
         // Fresh file for this phase's output.
         disk.remove(&tapes[out_idx].name)?;
-        let mut writer = PhaseWriter::<R>::create(disk, &tapes[out_idx].name, cfg, &pool)?;
+        let mut writer =
+            MergeWriter::<R>::create(disk, &tapes[out_idx].name, &cfg.pipeline, 2, &pool)?;
         let mut out_runs: VecDeque<u64> = VecDeque::new();
         let mut out_dummies = 0u64;
 
@@ -227,7 +186,7 @@ fn merge_phases<R: Record>(
                 continue;
             }
             let merged_len: u64 = contributors.iter().map(|&(_, l)| l).sum();
-            if par_mode {
+            let selects = if par_mode {
                 let segments: Vec<MergeSegment> = contributors
                     .iter()
                     .map(|&(i, len)| {
@@ -246,57 +205,37 @@ fn merge_phases<R: Record>(
                     parallel_merge_segments::<R, _>(disk, &segments, step_workers, &pool, |b| {
                         writer.push_all(b)
                     })?;
-                debug_assert_eq!(out.records, merged_len);
-                if cfg.kernel.key_based::<R>() {
-                    report.key_ops += out.comparisons;
-                } else {
-                    report.comparisons += out.comparisons;
-                }
                 for &(i, len) in &contributors {
                     tapes[i].consumed += len;
                 }
-                out_runs.push_back(merged_len);
-                continue;
-            }
-            // Open readers lazily; build bounded views of one run each.
-            for &(i, _) in &contributors {
-                if tapes[i].reader.is_none() {
-                    tapes[i].reader =
-                        Some(disk.open_reader_pooled::<R>(&tapes[i].name, Some(pool.clone()))?);
-                }
-            }
-            {
-                // Split mutable borrows: collect raw readers by index.
-                let mut views: Vec<Bounded<'_, R, BlockReader<R>>> = Vec::new();
-                let mut split: Vec<&mut Tape<R>> = tapes.iter_mut().collect();
-                // Sort contributor indices so we can use split_off_mut style
-                // extraction via pointers is overkill; instead use unsafe-free
-                // approach: take readers out, then put them back.
-                let mut taken: Vec<(usize, BlockReader<R>)> = Vec::new();
+                out.comparisons
+            } else {
+                // One run from each contributing tape, read through the
+                // tape's own reader (opened on first use) so its cursor
+                // stays at the next run. Contributors ascend by tape index.
+                let mut views = Vec::with_capacity(contributors.len());
+                let mut rest = tapes.iter_mut().enumerate();
                 for &(i, len) in &contributors {
-                    let r = split[i].reader.take().expect("opened above");
-                    taken.push((i, r));
-                    let _ = len;
-                }
-                drop(split);
-                for (slot, &(_, len)) in taken.iter_mut().zip(&contributors) {
-                    views.push(Bounded::new(&mut slot.1, len));
+                    let (_, tape) = rest.find(|(j, _)| *j == i).expect("contributors ascend");
+                    if tape.reader.is_none() {
+                        tape.reader =
+                            Some(disk.open_reader_pooled::<R>(&tape.name, Some(pool.clone()))?);
+                    }
+                    views.push(Bounded::new(
+                        tape.reader.as_mut().expect("opened above"),
+                        len,
+                    ));
                 }
                 let mut tree = LoserTree::new(views)?;
-                while let Some(x) = tree.next_record()? {
-                    writer.push(x)?;
-                }
-                // Cached-key selects are key ops under a key-based kernel,
-                // full comparisons under the reference kernel.
-                if cfg.kernel.key_based::<R>() {
-                    report.key_ops += tree.comparisons();
-                } else {
-                    report.comparisons += tree.comparisons();
-                }
-                debug_assert_eq!(tree.produced(), merged_len);
-                for (i, r) in taken {
-                    tapes[i].reader = Some(r);
-                }
+                tree.drain_into(|b| writer.push_all(b))?;
+                tree.comparisons()
+            };
+            // Cached-key selects are key ops under a key-based kernel, full
+            // comparisons under the reference kernel.
+            if cfg.kernel.key_based::<R>() {
+                report.key_ops += selects;
+            } else {
+                report.comparisons += selects;
             }
             out_runs.push_back(merged_len);
         }

@@ -89,9 +89,7 @@ pub fn striped_two_phase_sort<R: Record>(
         .collect::<PdmResult<Vec<_>>>()?;
     let mut tree = LoserTree::new(sources)?;
     let mut out = arr.striped_writer::<R>(output)?;
-    while let Some(x) = tree.next_record()? {
-        out.push(x)?;
-    }
+    tree.drain_into(|batch| out.push_all(batch))?;
     if SortKernel::default().key_based::<R>() {
         report.key_ops += tree.comparisons();
     } else {
