@@ -7,8 +7,8 @@
 //! (`target/trend_history.jsonl` — one JSON line per headline per run),
 //! and gates against the committed baselines in `BENCH_trend.json`:
 //!
-//! * `--check` fails (exit 1) if any gated headline drops below
-//!   `gate_ratio` x its baseline at the same problem size. Baselines are
+//! * `--check` fails (exit 1) if any headline drops below `gate_ratio` x
+//!   its baseline at the same problem size. Baselines are
 //!   keyed by `(bench, n, key)`, so CI's `--quick` artifacts compare
 //!   against quick-scale baselines and full runs against full-scale
 //!   ones, and one bench file can gate several independent headlines; an
@@ -19,8 +19,8 @@
 //! * `--update` rewrites `BENCH_trend.json` with the current headline
 //!   values (preserving baselines at other problem sizes).
 //!
-//! Wall-clock-measured headlines (`wallclock_speedup`) are host-dependent
-//! and therefore record-only: they get a `gate_ratio` of 0.
+//! Host wall-time artifacts (`BENCH_wallclock.json`) carry no headline
+//! and are skipped: their numbers depend on the machine, not the code.
 //!
 //! ```sh
 //! cargo run --release -p hetsort-bench --bin trend -- --check
@@ -36,19 +36,17 @@ const BASELINE_FILE: &str = "BENCH_trend.json";
 const HISTORY_FILE: &str = "target/trend_history.jsonl";
 const DEFAULT_GATE: f64 = 0.85;
 
-/// `bench` field value → (headline key, gate ratio). A ratio of 0 records
-/// the headline without gating it. A bench may carry several headlines;
-/// each is keyed and gated independently.
-const HEADLINES: &[(&str, &str, f64)] = &[
-    ("pipeline_speedup", "speedup_4_workers", DEFAULT_GATE),
-    ("kernel_speedup", "speedup_uniform", DEFAULT_GATE),
-    ("overlap_speedup", "speedup_1144_1ki", DEFAULT_GATE),
-    ("parmerge_speedup", "speedup_4_workers", DEFAULT_GATE),
-    ("planner_speedup", "nvme_adaptive_speedup", DEFAULT_GATE),
-    ("critpath_report", "whatif_top_speedup", DEFAULT_GATE),
-    ("wallclock_speedup", "speedup_upgraded", 0.0),
-    ("scale", "events_vs_threads_p64", DEFAULT_GATE),
-    ("scale", "grouped_speedup_p256", DEFAULT_GATE),
+/// `bench` field value → headline key. A bench may carry several
+/// headlines; each is keyed and gated independently.
+const HEADLINES: &[(&str, &str)] = &[
+    ("pipeline_speedup", "speedup_4_workers"),
+    ("kernel_speedup", "speedup_uniform"),
+    ("overlap_speedup", "speedup_1144_1ki"),
+    ("parmerge_speedup", "speedup_4_workers"),
+    ("planner_speedup", "nvme_adaptive_speedup"),
+    ("critpath_report", "whatif_top_speedup"),
+    ("scale", "events_vs_threads_p64"),
+    ("scale", "grouped_speedup_p256"),
 ];
 
 #[derive(Debug, Clone)]
@@ -57,7 +55,6 @@ struct Observation {
     n: u64,
     key: &'static str,
     value: f64,
-    gate_ratio: f64,
 }
 
 fn read_observations(path: &Path) -> Vec<Observation> {
@@ -74,10 +71,14 @@ fn read_observations(path: &Path) -> Vec<Observation> {
     let Some(bench) = doc.get("bench").and_then(Json::as_str) else {
         return Vec::new();
     };
-    let keys: Vec<&(&str, &str, f64)> = HEADLINES.iter().filter(|(b, _, _)| *b == bench).collect();
+    let keys: Vec<&str> = HEADLINES
+        .iter()
+        .filter(|(b, _)| *b == bench)
+        .map(|&(_, key)| key)
+        .collect();
     if keys.is_empty() {
         eprintln!(
-            "warning: {}: unknown bench {bench:?}, skipping",
+            "note: {}: bench {bench:?} has no trend headline, skipping",
             path.display()
         );
         return Vec::new();
@@ -87,13 +88,12 @@ fn read_observations(path: &Path) -> Vec<Observation> {
     };
     keys.iter()
         // A missing key is fine: restricted runs omit some headlines.
-        .filter_map(|&&(_, key, gate_ratio)| {
+        .filter_map(|&key| {
             Some(Observation {
                 bench: bench.to_string(),
                 n: n as u64,
                 key,
                 value: doc.get(key)?.as_f64()?,
-                gate_ratio,
             })
         })
         .collect()
@@ -219,9 +219,7 @@ fn main() {
         let (status, ratio_str) = match base {
             Some(&b) if b > 0.0 => {
                 let ratio = o.value / b;
-                let status = if o.gate_ratio <= 0.0 {
-                    "record-only"
-                } else if ratio >= o.gate_ratio {
+                let status = if ratio >= DEFAULT_GATE {
                     "ok"
                 } else {
                     failures.push(format!(
@@ -230,7 +228,7 @@ fn main() {
                         o.n,
                         o.key,
                         o.value,
-                        o.gate_ratio * 100.0,
+                        DEFAULT_GATE * 100.0,
                         b
                     ));
                     "REGRESSION"

@@ -1,25 +1,18 @@
-//! Wall-clock engine bench: kernel × codec × I/O-backend grid at GB scale.
+//! Wall-clock engine bench: one row per in-core kernel at GB scale.
 //!
 //! Unlike the table reproductions (which price counted work through the
 //! paper's Alpha/SCSI cost model), this bench measures **host wall time**
-//! on real files: it generates a multi-hundred-MB input once per cell,
-//! sorts it with the full pipelined polyphase engine, and reports
-//! sustained records/sec and MB/s for every combination of
-//!
-//! * in-core kernel — LSD radix vs the ips4o-style in-place partitioner,
-//! * block codec — copying vs zero-copy borrowed views,
-//! * I/O backend — serial worker threads vs batched multi-request
-//!   submission,
-//!
+//! on real files: it generates a multi-hundred-MB input for every trial,
+//! sorts it with the full pipelined polyphase engine, and reports the
+//! median wall time, records/sec and MB/s over the trials for each
+//! in-core kernel — LSD radix and the ips4o-style in-place partitioner —
 //! plus an external baseline ("read the whole file, `sort_unstable`,
-//! write it back") for scale. The reference cell is the engine as of the
-//! pipelined-execution PR: radix kernel, copying codec, serial backend.
-//! The headline is the fully-upgraded cell (ips4o + zerocopy + batched)
-//! against that reference.
+//! write it back") for scale. Every trial runs the three rows in a rotated
+//! order, so slow drift of the host spreads over all of them.
 //!
-//! Every cell must stay observationally correct: the output fingerprint
-//! must equal the input's and the file must be sorted; with a total-order
-//! record type that makes all cell outputs byte-identical.
+//! Every trial must stay observationally correct: the output must be
+//! sorted and its fingerprint must equal the baseline's; with a
+//! total-order record type that makes all outputs byte-identical.
 //!
 //! Emits `BENCH_wallclock.json` in the working directory:
 //!
@@ -27,8 +20,8 @@
 //! cargo run --release -p hetsort-bench --bin wallclock_speedup -- --selftest
 //! ```
 //!
-//! `--quick` shrinks n for CI (the ≥1.5× speedup gate only applies at the
-//! full n ≥ 2²⁶ scale; small inputs are dominated by constant overheads).
+//! `--quick` shrinks n for CI and `--trials N` sets the trial count
+//! (default 5).
 
 use std::time::Instant;
 
@@ -37,43 +30,30 @@ use extsort::{
     SortKernel,
 };
 use hetsort_bench::{print_table, Args};
-use pdm::{Codec, Disk, DiskModel, IoBackend, ScratchDir};
+use pdm::{Disk, DiskModel, ScratchDir};
 use workloads::{generate_to_disk, Benchmark, Layout};
 
 const BLOCK_BYTES: usize = 256 * 1024;
 const TAPES: usize = 8;
 const SORT_WORKERS: usize = 4;
 const PREFETCH_DEPTH: usize = 8;
-/// Headline gate: the fully-upgraded cell vs the reference cell.
-const SPEEDUP_GATE: f64 = 1.5;
-/// The gate only applies at GB scale; below this the run is overhead-bound.
-const GATE_MIN_N: u64 = 1 << 26;
+const KERNELS: [SortKernel; 2] = [SortKernel::Radix, SortKernel::Ips4o];
 
-struct Cell {
-    kernel: SortKernel,
-    codec: Codec,
-    backend: IoBackend,
-    wall_secs: f64,
-    fingerprint: Fingerprint,
-}
-
-fn fresh_disk(n: u64, seed: u64, codec: Codec, backend: IoBackend) -> (ScratchDir, Disk) {
+fn fresh_disk(n: u64, seed: u64) -> (ScratchDir, Disk) {
     let scratch = ScratchDir::new("wallclock-bench").expect("scratch dir");
     let disk = Disk::on_files(scratch.path(), BLOCK_BYTES)
         // A modern-NVMe service model: irrelevant to wall time, but the
         // merge planner consults it before accepting advisory merge
         // workers (seek-dominated models veto them).
-        .with_model(DiskModel::nvme_modern())
-        .with_codec(codec)
-        .with_io_backend(backend);
+        .with_model(DiskModel::nvme_modern());
     generate_to_disk(&disk, "input", Benchmark::Uniform, seed, Layout::single(n))
         .expect("generate");
     (scratch, disk)
 }
 
-fn run_cell(n: u64, mem_records: usize, seed: u64, cell: (SortKernel, Codec, IoBackend)) -> Cell {
-    let (kernel, codec, backend) = cell;
-    let (_scratch, disk) = fresh_disk(n, seed, codec, backend);
+/// One timed external sort; returns its wall time and output fingerprint.
+fn run_kernel(n: u64, mem_records: usize, seed: u64, kernel: SortKernel) -> (f64, Fingerprint) {
+    let (_scratch, disk) = fresh_disk(n, seed);
     let cfg = ExtSortConfig::new(mem_records)
         .with_tapes(TAPES)
         .with_kernel(kernel)
@@ -88,26 +68,18 @@ fn run_cell(n: u64, mem_records: usize, seed: u64, cell: (SortKernel, Codec, IoB
     assert_eq!(report.records, n, "{}: record count", kernel.name());
     assert!(
         is_sorted_file::<u32>(&disk, "output").expect("scan"),
-        "{}/{}/{}: output not sorted",
-        kernel.name(),
-        codec.name(),
-        backend.name()
+        "{}: output not sorted",
+        kernel.name()
     );
     let fingerprint = fingerprint_file::<u32>(&disk, "output").expect("fingerprint");
-    Cell {
-        kernel,
-        codec,
-        backend,
-        wall_secs,
-        fingerprint,
-    }
+    (wall_secs, fingerprint)
 }
 
 /// External baseline: read everything, `sort_unstable`, write everything.
 /// In-core (cheats the memory budget), single-threaded, no pipeline — the
 /// "what a shell `sort` of a binary file could hope for" scale marker.
 fn run_std_baseline(n: u64, seed: u64) -> (f64, Fingerprint) {
-    let (_scratch, disk) = fresh_disk(n, seed, Codec::default(), IoBackend::default());
+    let (_scratch, disk) = fresh_disk(n, seed);
     let t0 = Instant::now();
     let mut data = disk.read_file::<u32>("input").expect("read");
     data.sort_unstable();
@@ -116,6 +88,17 @@ fn run_std_baseline(n: u64, seed: u64) -> (f64, Fingerprint) {
     drop(data);
     let fp = fingerprint_file::<u32>(&disk, "output").expect("fingerprint");
     (wall, fp)
+}
+
+fn median(samples: &[f64]) -> f64 {
+    let mut s = samples.to_vec();
+    s.sort_by(f64::total_cmp);
+    let mid = s.len() / 2;
+    if s.len() % 2 == 1 {
+        s[mid]
+    } else {
+        (s[mid - 1] + s[mid]) / 2.0
+    }
 }
 
 fn main() {
@@ -127,6 +110,8 @@ fn main() {
     } else {
         1 << 26
     };
+    let trials = args.trials.max(1);
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     // Out-of-core by 8× so polyphase genuinely merges, but enough for the
     // streaming minimum of two blocks per tape.
     let records_per_block = BLOCK_BYTES / 4;
@@ -134,121 +119,84 @@ fn main() {
     let mb = n as f64 * 4.0 / 1e6;
 
     println!(
-        "wallclock grid: n = {n} ({mb:.0} MB), M = {mem_records}, T = {TAPES}, \
-         block = {BLOCK_BYTES}, workers = {SORT_WORKERS}, depth = {PREFETCH_DEPTH}"
+        "wallclock: n = {n} ({mb:.0} MB), M = {mem_records}, T = {TAPES}, \
+         block = {BLOCK_BYTES}, workers = {SORT_WORKERS}, depth = {PREFETCH_DEPTH}, \
+         trials = {trials}, nproc = {nproc}"
     );
 
-    let (std_wall, std_fp) = run_std_baseline(n, args.seed);
-
-    let mut cells = Vec::new();
-    for kernel in [SortKernel::Radix, SortKernel::Ips4o] {
-        for codec in [Codec::Copying, Codec::ZeroCopy] {
-            for backend in [IoBackend::Serial, IoBackend::Batched] {
-                let cell = run_cell(n, mem_records, args.seed, (kernel, codec, backend));
-                assert_eq!(
-                    cell.fingerprint,
-                    std_fp,
-                    "{}/{}/{}: output differs from std baseline",
-                    kernel.name(),
-                    codec.name(),
-                    backend.name()
-                );
-                println!(
-                    "  {:>6} {:>8} {:>7}  {:8.3}s  {:>12.0} rec/s",
-                    kernel.name(),
-                    codec.name(),
-                    backend.name(),
-                    cell.wall_secs,
-                    n as f64 / cell.wall_secs
-                );
-                cells.push(cell);
-            }
+    // Row 0 is the std baseline, then one row per kernel.
+    let names: Vec<&str> = std::iter::once("std_slice_sort")
+        .chain(KERNELS.iter().map(|k| k.name()))
+        .collect();
+    let mut secs: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
+    for trial in 0..trials {
+        let mut fps = vec![None; names.len()];
+        for step in 0..names.len() {
+            let row = (step + trial) % names.len();
+            let (wall, fp) = match row {
+                0 => run_std_baseline(n, args.seed),
+                _ => run_kernel(n, mem_records, args.seed, KERNELS[row - 1]),
+            };
+            println!("  trial {trial}: {:>14}  {wall:8.3}s", names[row]);
+            secs[row].push(wall);
+            fps[row] = Some(fp);
+        }
+        for (name, fp) in names.iter().zip(&fps).skip(1) {
+            assert_eq!(*fp, fps[0], "{name}: output differs from std baseline");
         }
     }
 
-    let find = |k: SortKernel, c: Codec, b: IoBackend| {
-        cells
-            .iter()
-            .find(|cell| cell.kernel == k && cell.codec == c && cell.backend == b)
-            .expect("cell present")
-    };
-    let reference = find(SortKernel::Radix, Codec::Copying, IoBackend::Serial);
-    let upgraded = find(SortKernel::Ips4o, Codec::ZeroCopy, IoBackend::Batched);
-    let speedup = reference.wall_secs / upgraded.wall_secs;
-
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    {
-        let rps = n as f64 / std_wall;
+    let std_median = median(&secs[0]);
+    for (name, samples) in names.iter().zip(&secs) {
+        let wall = median(samples);
+        let rps = n as f64 / wall;
         rows.push(vec![
-            "std_slice_sort".into(),
-            "-".into(),
-            "-".into(),
-            format!("{std_wall:.3}"),
+            name.to_string(),
+            format!("{wall:.3}"),
+            format!(
+                "{:.3}",
+                samples.iter().copied().fold(f64::INFINITY, f64::min)
+            ),
+            format!("{:.3}", samples.iter().copied().fold(0.0, f64::max)),
             format!("{rps:.0}"),
-            format!("{:.1}", mb / std_wall),
-            "-".into(),
+            format!("{:.1}", mb / wall),
+            format!("{:.2}", std_median / wall),
         ]);
+        let trial_list: Vec<String> = samples.iter().map(|s| format!("{s:.4}")).collect();
         json_rows.push(format!(
-            "    {{\"kernel\": \"std_slice_sort\", \"codec\": null, \"io_backend\": null, \
-             \"wall_secs\": {std_wall:.4}, \"records_per_sec\": {rps:.1}, \
-             \"mb_per_sec\": {:.2}}}",
-            mb / std_wall
-        ));
-    }
-    for cell in &cells {
-        let rps = n as f64 / cell.wall_secs;
-        rows.push(vec![
-            cell.kernel.name().into(),
-            cell.codec.name().into(),
-            cell.backend.name().into(),
-            format!("{:.3}", cell.wall_secs),
-            format!("{rps:.0}"),
-            format!("{:.1}", mb / cell.wall_secs),
-            format!("{:.2}", reference.wall_secs / cell.wall_secs),
-        ]);
-        json_rows.push(format!(
-            "    {{\"kernel\": \"{}\", \"codec\": \"{}\", \"io_backend\": \"{}\", \
-             \"wall_secs\": {:.4}, \"records_per_sec\": {rps:.1}, \"mb_per_sec\": {:.2}}}",
-            cell.kernel.name(),
-            cell.codec.name(),
-            cell.backend.name(),
-            cell.wall_secs,
-            mb / cell.wall_secs
+            "    {{\"kernel\": \"{name}\", \"wall_secs\": {wall:.4}, \
+             \"trial_secs\": [{}], \"records_per_sec\": {rps:.1}, \"mb_per_sec\": {:.2}}}",
+            trial_list.join(", "),
+            mb / wall
         ));
     }
 
     print_table(
-        &format!("Wall-clock grid (n = {n}, {mb:.0} MB, real files)"),
+        &format!(
+            "Wall-clock kernels (n = {n}, {mb:.0} MB, real files, median of {trials}, \
+             {nproc} cores)"
+        ),
         &[
-            "kernel", "codec", "backend", "wall s", "rec/s", "MB/s", "vs ref",
+            "row", "median s", "min s", "max s", "rec/s", "MB/s", "vs std",
         ],
         &rows,
     );
-    println!("upgraded (ips4o/zerocopy/batched) vs reference (radix/copy/serial): {speedup:.2}x");
 
     let json = format!(
         "{{\n  \"bench\": \"wallclock_speedup\",\n  \"n\": {n},\n  \"record_bytes\": 4,\n  \
          \"mem_records\": {mem_records},\n  \"tapes\": {TAPES},\n  \
          \"block_bytes\": {BLOCK_BYTES},\n  \"sort_workers\": {SORT_WORKERS},\n  \
-         \"prefetch_depth\": {PREFETCH_DEPTH},\n  \
-         \"reference\": {{\"kernel\": \"radix\", \"codec\": \"copy\", \"io_backend\": \"serial\"}},\n  \
-         \"upgraded\": {{\"kernel\": \"ips4o\", \"codec\": \"zerocopy\", \"io_backend\": \"batched\"}},\n  \
-         \"speedup_upgraded\": {speedup:.4},\n  \"rows\": [\n{}\n  ]\n}}\n",
+         \"prefetch_depth\": {PREFETCH_DEPTH},\n  \"trials\": {trials},\n  \
+         \"host\": {{\"nproc\": {nproc}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
     std::fs::write("BENCH_wallclock.json", &json).expect("write BENCH_wallclock.json");
     println!("wrote BENCH_wallclock.json");
 
     if args.selftest {
-        // Identity is asserted per cell above (fingerprint + sortedness);
-        // the throughput gate only applies at full scale.
-        if n >= GATE_MIN_N {
-            assert!(
-                speedup >= SPEEDUP_GATE,
-                "upgraded cell must be >= {SPEEDUP_GATE}x the reference, got {speedup:.2}x"
-            );
-        }
+        // Sortedness and fingerprint identity are asserted per trial above.
         println!("selftest ok");
     }
 }

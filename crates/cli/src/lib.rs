@@ -5,12 +5,12 @@
 //!
 //! ```text
 //! hetsort gen     --dir D --name input --n 1000000 [--bench uniform] [--seed 7]
+//!                 [--block 32768]
 //! hetsort sort    --dir D --input input --output sorted
 //!                 [--mem 1048576] [--tapes 16] [--block 32768]
 //!                 [--algo polyphase|balanced|distribution] [--workers W]
 //!                 [--merge-workers W|auto] [--kernel radix|comparison|ips4o]
-//!                 [--codec zerocopy|copy] [--io-backend serial|batched]
-//! hetsort verify  --dir D --sorted sorted [--input input]
+//! hetsort verify  --dir D --sorted sorted [--input input] [--block 32768]
 //! hetsort cluster --n 16777216 --perf 1,1,4,4 [--hardware 1,1,4,4]
 //!                 [--net fe|myrinet] [--bench uniform] [--msg 8192]
 //!                 [--mem N] [--tapes 16] [--block 32768] [--seed 7]
@@ -21,6 +21,9 @@
 //!                 [--critpath-out critpath.json] [--whatif]
 //!                 [--calibration-report] [--profile] [--streaming-merge]
 //! ```
+//!
+//! Each subcommand accepts only the flags listed for it; any other flag is
+//! an error naming it. `hetsort help` prints the same lists.
 //!
 //! `--workers W` (W >= 1) enables the pipelined execution engine: W
 //! in-core sort workers plus prefetch/write-behind I/O threads. Output
@@ -90,22 +93,69 @@
 //! samples to weighted candidates, so no node ever sorts a Θ(p²)
 //! sample or absorbs p simultaneous first messages). The sorted output
 //! is byte-identical either way.
-//!
-//! `--codec` picks how `sort`/`gen`/`verify` move records between disk
-//! blocks and memory: `zerocopy` (the default — plain-old-data records
-//! are viewed in place) or `copy` (the staged reference codec).
-//! `--io-backend` picks how pipelined readers/writers submit block I/O:
-//! `serial` (one worker thread per stream, the default) or `batched`
-//! (a multi-request [`pdm::IoBatch`] with genuinely concurrent
-//! positional reads and writes). Both axes are observationally identical
-//! — byte-identical files and identical metered I/O counters.
 
 use std::collections::HashMap;
 
 use extsort::{fingerprint_file, is_sorted_file, ExtSortConfig, PipelineConfig, SortKernel};
 use hetsort::{run_trial, PerfVector, SortAlgo, SplitterStrategy, TrialConfig};
-use pdm::{Codec, Disk, IoBackend};
+use pdm::Disk;
 use workloads::{generate_to_disk, Benchmark, Layout};
+
+/// Every subcommand with the flags it reads. [`Options::parse`] rejects any
+/// other flag, and [`usage`] prints these lists.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("gen", &["dir", "name", "n", "bench", "seed", "block"]),
+    (
+        "sort",
+        &[
+            "dir",
+            "input",
+            "output",
+            "mem",
+            "tapes",
+            "block",
+            "algo",
+            "workers",
+            "merge-workers",
+            "kernel",
+        ],
+    ),
+    ("verify", &["dir", "sorted", "input", "block"]),
+    (
+        "cluster",
+        &[
+            "n",
+            "perf",
+            "hardware",
+            "net",
+            "bench",
+            "msg",
+            "mem",
+            "tapes",
+            "block",
+            "seed",
+            "workers",
+            "merge-workers",
+            "disk",
+            "kernel",
+            "runtime",
+            "splitter",
+            "algo",
+            "trace-out",
+            "metrics-out",
+            "critpath-out",
+            "whatif",
+            "calibration-report",
+            "profile",
+            "streaming-merge",
+        ],
+    ),
+];
+
+/// Flags that may appear bare (no value): `--profile` alone means
+/// `--profile true`. A following token that is itself a `--flag` is not
+/// consumed as the value.
+const BOOL_FLAGS: &[&str] = &["profile", "streaming-merge", "whatif", "calibration-report"];
 
 /// Parsed `--key value` options (plus the subcommand).
 #[derive(Debug)]
@@ -119,19 +169,26 @@ impl Options {
     /// Parses an argument list (without the program name).
     ///
     /// # Errors
-    /// Returns a message when the command is missing or a flag is malformed.
+    /// Returns a message when the command is missing, a flag is malformed,
+    /// or a known subcommand is given a flag it does not read.
     pub fn parse(args: &[String]) -> Result<Options, String> {
-        /// Flags that may appear bare (no value): `--profile` alone means
-        /// `--profile true`. A following token that is itself a `--flag`
-        /// is not consumed as the value.
-        const BOOL_FLAGS: &[&str] = &["profile", "streaming-merge", "whatif", "calibration-report"];
         let mut it = args.iter().peekable();
         let command = it.next().ok_or_else(usage)?.clone();
+        let known = COMMANDS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .map(|&(_, known)| known);
         let mut flags = HashMap::new();
         while let Some(key) = it.next() {
             let key = key
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {key:?}"))?;
+            if known.is_some_and(|known| !known.contains(&key)) {
+                return Err(format!(
+                    "unknown flag --{key} for `hetsort {command}`\n{}",
+                    usage()
+                ));
+            }
             let value = if BOOL_FLAGS.contains(&key) {
                 match it.peek() {
                     Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
@@ -182,11 +239,16 @@ impl Options {
     }
 }
 
-/// The usage banner.
+/// The usage banner: every subcommand with the flags it reads.
 pub fn usage() -> String {
-    "usage: hetsort <gen|sort|verify|cluster> [--flag value]...\n\
-     see `hetsort help` or the crate docs for the flag list"
-        .to_string()
+    let mut out = String::from("usage: hetsort <gen|sort|verify|cluster> [--flag value]...\n");
+    for (command, flags) in COMMANDS {
+        let flags: Vec<String> = flags.iter().map(|f| format!("--{f}")).collect();
+        out.push_str(&format!("  {command:<8}{}\n", flags.join(" ")));
+    }
+    let bare: Vec<String> = BOOL_FLAGS.iter().map(|f| format!("--{f}")).collect();
+    out.push_str(&format!("flags that need no value: {}", bare.join(" ")));
+    out
 }
 
 /// Parses a comma-separated perf vector like `1,1,4,4`.
@@ -202,16 +264,6 @@ pub fn parse_perf(s: &str) -> Result<PerfVector, String> {
 pub fn parse_kernel(s: &str) -> Result<SortKernel, String> {
     SortKernel::parse(s)
         .ok_or_else(|| format!("unknown --kernel {s:?} (radix, comparison or ips4o)"))
-}
-
-/// Parses a block codec name (`zerocopy` or `copy`).
-pub fn parse_codec(s: &str) -> Result<Codec, String> {
-    Codec::parse(s).ok_or_else(|| format!("unknown --codec {s:?} (zerocopy or copy)"))
-}
-
-/// Parses an I/O backend name (`serial` or `batched`).
-pub fn parse_io_backend(s: &str) -> Result<IoBackend, String> {
-    IoBackend::parse(s).ok_or_else(|| format!("unknown --io-backend {s:?} (serial or batched)"))
 }
 
 /// How `--merge-workers` was given.
@@ -298,11 +350,7 @@ fn open_dir(opts: &Options) -> Result<Disk, String> {
     let dir = opts.required("dir")?;
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
     let block = opts.num_or("block", 32 * 1024)? as usize;
-    let codec = parse_codec(opts.get_or("codec", Codec::default().name()))?;
-    let io = parse_io_backend(opts.get_or("io-backend", IoBackend::default().name()))?;
-    Ok(Disk::on_files(dir, block)
-        .with_codec(codec)
-        .with_io_backend(io))
+    Ok(Disk::on_files(dir, block))
 }
 
 fn cmd_gen(opts: &Options) -> Result<String, String> {
@@ -606,59 +654,62 @@ mod tests {
     }
 
     #[test]
-    fn codec_and_io_backend_parsing() {
-        assert_eq!(parse_codec("zerocopy").unwrap(), Codec::ZeroCopy);
-        assert_eq!(parse_codec("copy").unwrap(), Codec::Copying);
-        assert!(parse_codec("bogus").is_err());
-        assert_eq!(parse_io_backend("serial").unwrap(), IoBackend::Serial);
-        assert_eq!(parse_io_backend("batched").unwrap(), IoBackend::Batched);
-        assert!(parse_io_backend("bogus").is_err());
+    fn unknown_flags_are_rejected_by_name() {
+        let parse =
+            |args: &[&str]| Options::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        // Flags of removed knobs are rejected, not silently ignored.
+        for (retired, value) in [("io-backend", "batched"), ("codec", "copy")] {
+            let flag = format!("--{retired}");
+            let args = [
+                "sort", "--dir", "d", "--input", "in", "--output", "out", &flag, value,
+            ];
+            let err = parse(&args).unwrap_err();
+            assert!(err.contains(&flag), "{err}");
+        }
+        let err = parse(&[
+            "gen",
+            "--dir",
+            "d",
+            "--name",
+            "in",
+            "--n",
+            "1000",
+            "--bogus-flag",
+            "3",
+        ])
+        .unwrap_err();
+        assert!(err.contains("--bogus-flag"), "{err}");
+        // A flag one subcommand reads is still foreign to another.
+        let err = parse(&["verify", "--dir", "d", "--sorted", "s", "--mem", "64"]).unwrap_err();
+        assert!(err.contains("--mem"), "{err}");
+        // The flag sets of the CI steps all parse.
+        for line in [
+            "cluster --n 20000 --perf 1,2,1,4,1,2,4,1,2 --mem 4096 --tapes 4 --msg 512 \
+             --block 1024 --seed 3 --runtime events --splitter grouped \
+             --metrics-out metrics_grouped.json",
+            "cluster --n 20000 --perf 1,1,4,4 --mem 4096 --tapes 4 --msg 512 --block 1024 \
+             --seed 3 --merge-workers 4 --trace-out trace.json --metrics-out metrics.json \
+             --profile --critpath-out critpath.json --whatif --calibration-report",
+            "cluster --n 20000 --perf 1,1,4,4 --mem 4096 --tapes 4 --msg 512 --block 1024 \
+             --seed 3 --streaming-merge --trace-out trace_streamed.json \
+             --metrics-out metrics_streamed.json --critpath-out critpath_streamed.json",
+        ] {
+            let args: Vec<&str> = line.split_whitespace().collect();
+            assert!(parse(&args).is_ok(), "{line}");
+        }
     }
 
     #[test]
-    fn sort_codec_and_io_backend_flags_respected() {
-        // Same input sorted under every codec × io-backend cell must yield
-        // the same verified output file.
-        let scratch = pdm::ScratchDir::new("cli-codec").unwrap();
-        let dir = scratch.path().to_str().unwrap().to_string();
-        run(&opts(&[
-            "gen", "--dir", &dir, "--name", "in", "--n", "20000", "--seed", "9",
-        ]))
-        .unwrap();
-        for codec in ["zerocopy", "copy"] {
-            for io in ["serial", "batched"] {
-                let out_name = format!("out-{codec}-{io}");
-                let out = run(&opts(&[
-                    "sort",
-                    "--dir",
-                    &dir,
-                    "--input",
-                    "in",
-                    "--output",
-                    &out_name,
-                    "--mem",
-                    "65536",
-                    "--tapes",
-                    "4",
-                    "--block",
-                    "4096",
-                    "--codec",
-                    codec,
-                    "--io-backend",
-                    io,
-                    "--workers",
-                    "2",
-                ]))
-                .unwrap();
-                assert!(out.contains("sorted 20000"), "{codec}/{io}: {out}");
-                let out = run(&opts(&[
-                    "verify", "--dir", &dir, "--sorted", &out_name, "--input", "in", "--block",
-                    "4096",
-                ]))
-                .unwrap();
-                assert!(out.contains("permutation"), "{codec}/{io}: {out}");
+    fn help_lists_every_subcommand_flag() {
+        let help = run(&opts(&["help"])).unwrap();
+        for (command, flags) in COMMANDS {
+            assert!(help.contains(command), "{help}");
+            for flag in *flags {
+                assert!(help.contains(&format!("--{flag}")), "{flag}: {help}");
             }
         }
+        assert!(help.contains("--merge-workers"), "{help}");
+        assert!(!help.contains("see `hetsort help`"), "{help}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cluster configuration.
 
-use pdm::{Codec, DiskModel, IoBackend};
+use pdm::DiskModel;
 
 use crate::cost::CpuModel;
 use crate::net::NetworkModel;
@@ -91,11 +91,6 @@ pub struct ClusterSpec {
     /// Off by default: the disabled tracer is a no-op handle, and traced
     /// runs are observationally identical to untraced ones.
     pub tracing: bool,
-    /// Block codec for every node disk (zero-copy by default; both codecs
-    /// are observationally identical).
-    pub codec: Codec,
-    /// I/O submission backend for every node disk.
-    pub io_backend: IoBackend,
     /// Which scheduler runs the node functions. Thread-per-node by
     /// default; the event runtime produces bit-identical virtual clocks
     /// on every blocking exchange path and scales to hundreds of nodes.
@@ -125,8 +120,6 @@ impl ClusterSpec {
             jitter_sigma: 0.0,
             time_policy: TimePolicy::Modeled,
             tracing: false,
-            codec: Codec::default(),
-            io_backend: IoBackend::default(),
             runtime: RuntimeKind::default(),
         }
     }
@@ -211,20 +204,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Sets the node-disk block codec (builder style).
-    #[must_use]
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
-    }
-
-    /// Sets the node-disk I/O submission backend (builder style).
-    #[must_use]
-    pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
     /// Selects the runtime that executes the node functions (builder
     /// style).
     #[must_use]
@@ -264,8 +243,6 @@ mod tests {
             .with_storage(StorageKind::Files)
             .with_time_policy(TimePolicy::Measured)
             .with_tracing(true)
-            .with_codec(Codec::Copying)
-            .with_io_backend(IoBackend::Batched)
             .with_runtime(RuntimeKind::Events);
         assert_eq!(s.net.name, NetworkModel::myrinet().name);
         assert_eq!(s.block_bytes, 4096);
@@ -273,8 +250,6 @@ mod tests {
         assert_eq!(s.storage, StorageKind::Files);
         assert_eq!(s.time_policy, TimePolicy::Measured);
         assert!(s.tracing);
-        assert_eq!(s.codec, Codec::Copying);
-        assert_eq!(s.io_backend, IoBackend::Batched);
         assert_eq!(s.runtime, RuntimeKind::Events);
     }
 

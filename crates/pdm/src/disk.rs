@@ -21,9 +21,7 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 
-use crate::batch::IoBackend;
 use crate::error::{PdmError, PdmResult};
-use crate::file::Codec;
 use crate::model::DiskModel;
 use crate::stats::IoStats;
 
@@ -62,8 +60,6 @@ struct DiskInner {
     stats: IoStats,
     model: DiskModel,
     label: String,
-    codec: Codec,
-    io_backend: IoBackend,
 }
 
 #[derive(Debug)]
@@ -73,30 +69,12 @@ enum BackendImpl {
 }
 
 /// An open file on a disk (byte-granular; used by the typed block layer).
-/// Clones share the underlying storage, so a handle can be shipped to the
-/// batched-I/O worker pool while the opener keeps using it.
-#[derive(Debug, Clone)]
+/// Each handle has one owner — a reader, a writer, or the pipelined worker
+/// it was moved to — so a real file needs no lock around its seek position.
+#[derive(Debug)]
 pub(crate) enum RawFile {
     Mem(Arc<Mutex<Vec<u8>>>),
-    File(Arc<SharedFile>),
-}
-
-/// A real file shared across threads. Positional reads/writes use
-/// `pread`/`pwrite` on unix (no lock, genuine concurrency); `cursor` guards
-/// the shared seek position for appends and the portable fallbacks.
-#[derive(Debug)]
-pub(crate) struct SharedFile {
-    file: fs::File,
-    cursor: Mutex<()>,
-}
-
-impl SharedFile {
-    fn new(file: fs::File) -> Self {
-        SharedFile {
-            file,
-            cursor: Mutex::new(()),
-        }
-    }
+    File(fs::File),
 }
 
 impl Disk {
@@ -128,8 +106,6 @@ impl Disk {
                 stats: IoStats::new(),
                 model: DiskModel::scsi_2000(),
                 label: "disk".to_string(),
-                codec: Codec::default(),
-                io_backend: IoBackend::default(),
             }),
         }
     }
@@ -148,8 +124,6 @@ impl Disk {
             stats: arc.stats.clone(),
             model: arc.model.clone(),
             label: arc.label.clone(),
-            codec: arc.codec,
-            io_backend: arc.io_backend,
         })
     }
 
@@ -169,28 +143,6 @@ impl Disk {
         let inner = self.unshare();
         Disk {
             inner: Arc::new(DiskInner { label, ..inner }),
-        }
-    }
-
-    /// Returns a copy of this disk handle with the given block codec. All
-    /// typed readers/writers opened afterwards use it.
-    pub fn with_codec(self, codec: Codec) -> Self {
-        let inner = self.unshare();
-        Disk {
-            inner: Arc::new(DiskInner { codec, ..inner }),
-        }
-    }
-
-    /// Returns a copy of this disk handle with the given pipelined-I/O
-    /// backend. Prefetch readers and write-behind writers opened afterwards
-    /// use it.
-    pub fn with_io_backend(self, io_backend: IoBackend) -> Self {
-        let inner = self.unshare();
-        Disk {
-            inner: Arc::new(DiskInner {
-                io_backend,
-                ..inner
-            }),
         }
     }
 
@@ -214,16 +166,6 @@ impl Disk {
         &self.inner.label
     }
 
-    /// The block codec used by typed readers/writers on this disk.
-    pub fn codec(&self) -> Codec {
-        self.inner.codec
-    }
-
-    /// The pipelined-I/O backend used by prefetch/write-behind on this disk.
-    pub fn io_backend(&self) -> IoBackend {
-        self.inner.io_backend
-    }
-
     /// Creates a new file, failing if it already exists.
     pub(crate) fn create_raw(&self, name: &str) -> PdmResult<RawFile> {
         self.inner.stats.on_create();
@@ -245,8 +187,7 @@ impl Disk {
                 if let Some(parent) = path.parent() {
                     fs::create_dir_all(parent)?;
                 }
-                let f = fs::File::create(&path)?;
-                Ok(RawFile::File(Arc::new(SharedFile::new(f))))
+                Ok(RawFile::File(fs::File::create(&path)?))
             }
         }
     }
@@ -267,7 +208,7 @@ impl Disk {
                 let path = dir.join(name);
                 let f = fs::File::open(&path).map_err(|_| PdmError::NotFound(name.to_string()))?;
                 let len = f.metadata()?.len();
-                Ok((RawFile::File(Arc::new(SharedFile::new(f))), len))
+                Ok((RawFile::File(f), len))
             }
         }
     }
@@ -375,8 +316,7 @@ impl RawFile {
                 Ok(())
             }
             RawFile::File(f) => {
-                let _cursor = f.cursor.lock().unwrap();
-                let mut h = &f.file;
+                let mut h = f;
                 h.seek(SeekFrom::End(0))?;
                 h.write_all(buf)?;
                 Ok(())
@@ -385,8 +325,8 @@ impl RawFile {
     }
 
     /// Reads up to `buf.len()` bytes starting at `offset`; returns the count
-    /// actually read (short only at end of file). On unix this is a `pread`
-    /// — no locking, so in-flight batched requests genuinely overlap.
+    /// actually read (short only at end of file). On unix this is a `pread`,
+    /// which leaves the append position alone.
     pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> PdmResult<usize> {
         match self {
             RawFile::Mem(v) => {
@@ -404,7 +344,7 @@ impl RawFile {
                 use std::os::unix::fs::FileExt;
                 let mut read = 0;
                 while read < buf.len() {
-                    match f.file.read_at(&mut buf[read..], offset + read as u64) {
+                    match f.read_at(&mut buf[read..], offset + read as u64) {
                         Ok(0) => break,
                         Ok(n) => read += n,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -415,8 +355,7 @@ impl RawFile {
             }
             #[cfg(not(unix))]
             RawFile::File(f) => {
-                let _cursor = f.cursor.lock().unwrap();
-                let mut h = &f.file;
+                let mut h = f;
                 h.seek(SeekFrom::Start(offset))?;
                 let mut read = 0;
                 while read < buf.len() {
@@ -432,43 +371,12 @@ impl RawFile {
         }
     }
 
-    /// Writes all of `buf` at `offset` (extending the file if needed). On
-    /// unix this is a `pwrite` — no locking, so batched write-behind keeps
-    /// multiple requests in flight.
-    pub(crate) fn write_at(&self, offset: u64, buf: &[u8]) -> PdmResult<()> {
-        match self {
-            RawFile::Mem(v) => {
-                let mut v = v.lock().unwrap();
-                let end = offset as usize + buf.len();
-                if v.len() < end {
-                    v.resize(end, 0);
-                }
-                v[offset as usize..end].copy_from_slice(buf);
-                Ok(())
-            }
-            #[cfg(unix)]
-            RawFile::File(f) => {
-                use std::os::unix::fs::FileExt;
-                f.file.write_all_at(buf, offset)?;
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            RawFile::File(f) => {
-                let _cursor = f.cursor.lock().unwrap();
-                let mut h = &f.file;
-                h.seek(SeekFrom::Start(offset))?;
-                h.write_all(buf)?;
-                Ok(())
-            }
-        }
-    }
-
     /// Flushes OS buffers (no-op for the memory backend).
     pub(crate) fn sync(&self) -> PdmResult<()> {
         match self {
             RawFile::Mem(_) => Ok(()),
             RawFile::File(f) => {
-                let mut h = &f.file;
+                let mut h = f;
                 h.flush()?;
                 Ok(())
             }
@@ -513,26 +421,6 @@ mod tests {
             assert_eq!(&buf, b"6789");
             assert_eq!(r.read_at(8, &mut buf).unwrap(), 2);
             assert_eq!(r.read_at(100, &mut buf).unwrap(), 0);
-        }
-    }
-
-    #[test]
-    fn write_at_extends_and_overwrites() {
-        for (disk, _guard) in both_backends() {
-            let f = disk.create_raw("w").unwrap();
-            // Out-of-order positional writes assemble the same bytes as
-            // in-order appends (the batched write-behind contract).
-            f.write_at(6, b"world").unwrap();
-            f.write_at(0, b"hello ").unwrap();
-            f.sync().unwrap();
-            let (r, len) = disk.open_raw("w").unwrap();
-            assert_eq!(len, 11);
-            let mut buf = vec![0u8; 11];
-            assert_eq!(r.read_at(0, &mut buf).unwrap(), 11);
-            assert_eq!(&buf, b"hello world");
-            // Overwrite in place does not extend.
-            f.write_at(0, b"HELLO").unwrap();
-            assert_eq!(disk.len_bytes("w").unwrap(), 11);
         }
     }
 

@@ -6,56 +6,25 @@
 //! reader also supports metered *random* access ([`BlockReader::read_at`]),
 //! which is what the pivot-sampling step of the paper's algorithm uses.
 //!
-//! # Codecs
+//! # Block views
 //!
 //! For POD records whose in-memory layout equals the file encoding
-//! (little-endian integers, [`crate::record::KeyPayload`]), the
-//! [`Codec::ZeroCopy`] codec — the default — consumes and produces blocks
-//! **in place**: reads decode through a borrowed `&[R]` view of the I/O
-//! buffer ([`BlockReader::next_block_view`]), and whole-block writes append
-//! straight from the caller's record slice without staging. The
-//! [`Codec::Copying`] codec keeps the original per-record encode/decode
-//! round-trip as a reference. Both codecs touch identical byte ranges,
-//! flush at identical block boundaries and meter identical
-//! [`crate::stats::IoStats`] — the differential suites hold them to that.
+//! (little-endian integers, [`crate::record::KeyPayload`]), blocks are
+//! consumed and produced **in place**: reads decode through a borrowed
+//! `&[R]` view of the I/O buffer ([`BlockReader::next_block_view`]), and
+//! whole-block writes append straight from the caller's record slice
+//! without staging. [`Record::view_slice`] and [`Record::view_bytes`]
+//! decide per block; where they decline — records without a POD layout,
+//! big-endian hosts, misaligned buffers — the same calls fall back to
+//! per-record encode/decode through the block buffer. Both paths touch
+//! identical byte ranges, flush at identical block boundaries and meter
+//! identical [`crate::stats::IoStats`] — the differential suites hold them
+//! to that.
 
 use crate::disk::{Disk, RawFile};
 use crate::error::{PdmError, PdmResult};
 use crate::pool::BufferPool;
 use crate::record::Record;
-
-/// How typed readers/writers move bytes between blocks and records (a
-/// [`Disk`] knob, see [`Disk::with_codec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Codec {
-    /// Per-record (or bulk-memcpy) encode/decode through a staging buffer —
-    /// the reference path, valid for every record type.
-    Copying,
-    /// Borrowed `&[R]` block views over the I/O buffer where the record
-    /// layout allows it ([`Record::view_slice`]); falls back to copying per
-    /// block otherwise. Observationally identical to [`Codec::Copying`].
-    #[default]
-    ZeroCopy,
-}
-
-impl Codec {
-    /// Parses a codec name (`copy` or `zerocopy`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "copy" => Some(Codec::Copying),
-            "zerocopy" => Some(Codec::ZeroCopy),
-            _ => None,
-        }
-    }
-
-    /// Stable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Codec::Copying => "copy",
-            Codec::ZeroCopy => "zerocopy",
-        }
-    }
-}
 
 /// Appends records to a disk file, one block at a time.
 #[derive(Debug)]
@@ -68,7 +37,6 @@ pub struct BlockWriter<R: Record> {
     records_per_block: usize,
     written: u64,
     finished: bool,
-    codec: Codec,
     /// Marks this writer as an open request stream for queue diagnostics.
     _stream: crate::stats::StreamGuard,
     _marker: std::marker::PhantomData<R>,
@@ -88,7 +56,6 @@ pub struct BlockReader<R: Record> {
     buf_start: u64,
     buf_end: u64,
     records_per_block: usize,
-    codec: Codec,
     /// Marks this reader as an open request stream for queue diagnostics.
     _stream: crate::stats::StreamGuard,
     _marker: std::marker::PhantomData<R>,
@@ -138,7 +105,6 @@ impl Disk {
             records_per_block,
             written: 0,
             finished: false,
-            codec: self.codec(),
             _stream: self.stats().stream_opened(),
             _marker: std::marker::PhantomData,
         })
@@ -183,7 +149,6 @@ impl Disk {
             buf_start: 0,
             buf_end: 0,
             records_per_block,
-            codec: self.codec(),
             _stream: self.stats().stream_opened(),
             _marker: std::marker::PhantomData,
         })
@@ -239,18 +204,17 @@ impl<R: Record> BlockWriter<R> {
     /// calls. Flush boundaries — and therefore metering — are identical to
     /// a [`BlockWriter::push`] loop.
     ///
-    /// Under [`Codec::ZeroCopy`], whole blocks that start at a block
-    /// boundary skip the staging buffer entirely: the block is appended
-    /// straight from the caller's slice through its borrowed byte view
-    /// ([`Record::view_bytes`]) — same bytes, same flush boundaries, same
-    /// metering, one memcpy less.
+    /// Whole blocks that start at a block boundary skip the staging buffer
+    /// when [`Record::view_bytes`] can borrow them: the block is appended
+    /// straight from the caller's slice — same bytes, same flush
+    /// boundaries, same metering, one memcpy less.
     pub fn push_all(&mut self, rs: &[R]) -> PdmResult<()> {
         debug_assert!(!self.finished, "push after finish");
         let cap = self.records_per_block * R::SIZE;
         let rpb = self.records_per_block;
         let mut rest = rs;
         while !rest.is_empty() {
-            if self.codec == Codec::ZeroCopy && self.buf.is_empty() && rest.len() >= rpb {
+            if self.buf.is_empty() && rest.len() >= rpb {
                 if let Some(bytes) = R::view_bytes(&rest[..rpb]) {
                     self.raw.append(bytes)?;
                     self.disk.stats().on_write(bytes.len() as u64);
@@ -394,13 +358,12 @@ impl<R: Record> BlockReader<R> {
 
     /// Decodes the record at byte offset `off` of the buffered block,
     /// surfacing a short buffer (truncated tail) as a typed error instead
-    /// of an index/`read_from` panic. Under [`Codec::ZeroCopy`] the record
-    /// is copied out of a borrowed `&[R]` view of the buffer (no decode).
+    /// of an index/`read_from` panic. Where [`Record::view_slice`] allows,
+    /// the record is copied out of a borrowed `&[R]` view of the buffer (no
+    /// decode).
     fn decode_at(&self, off: usize) -> PdmResult<R> {
-        if self.codec == Codec::ZeroCopy {
-            if let Some(rec) = R::view_slice(&self.buf).and_then(|v| v.get(off / R::SIZE)) {
-                return Ok(*rec);
-            }
+        if let Some(rec) = R::view_slice(&self.buf).and_then(|v| v.get(off / R::SIZE)) {
+            return Ok(*rec);
         }
         self.buf
             .get(off..off + R::SIZE)
@@ -766,50 +729,94 @@ mod tests {
         assert!(!disk.exists("oops"));
     }
 
+    /// Forwards encode/decode to `R` but keeps the `None` view defaults, so
+    /// every block takes the per-record fallback path.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Staged<R>(R);
+
+    impl<R: Record> Record for Staged<R> {
+        const SIZE: usize = R::SIZE;
+
+        fn write_to(&self, buf: &mut [u8]) {
+            self.0.write_to(buf);
+        }
+
+        fn read_from(buf: &[u8]) -> Self {
+            Staged(R::read_from(buf))
+        }
+    }
+
+    fn staged<R: Record>(data: &[R]) -> Vec<Staged<R>> {
+        data.iter().copied().map(Staged).collect()
+    }
+
     #[test]
-    fn codecs_are_observationally_identical() {
-        // Same data, same operations, one disk per codec: identical bytes
-        // on disk, identical IoStats, identical decoded records.
+    fn view_and_fallback_are_observationally_identical() {
+        // Same data, same operations, once through the in-place views and
+        // once through the per-record fallback: identical bytes on disk,
+        // identical IoStats, identical decoded records.
         let data: Vec<u32> = (0..103u32).map(|i| i.wrapping_mul(2654435761)).collect();
         let kp: Vec<KeyPayload> = data
             .iter()
             .map(|&x| KeyPayload::new(x as u64 % 7, x as u64))
             .collect();
-        let copy = Disk::in_memory(16).with_codec(Codec::Copying);
-        let zero = Disk::in_memory(16).with_codec(Codec::ZeroCopy);
-        for disk in [&copy, &zero] {
-            disk.write_file("u", &data).unwrap();
-            disk.write_file("k", &kp).unwrap();
-            assert_eq!(disk.read_file::<u32>("u").unwrap(), data);
-            assert_eq!(disk.read_file::<KeyPayload>("k").unwrap(), kp);
-            let mut r = disk.open_reader::<u32>("u").unwrap();
-            assert_eq!(r.read_at(97).unwrap(), 97u32.wrapping_mul(2654435761));
-            r.seek(50);
-            assert_eq!(
-                r.next_record().unwrap(),
-                Some(50u32.wrapping_mul(2654435761))
-            );
-        }
-        assert_eq!(copy.stats().snapshot(), zero.stats().snapshot());
+        let view = Disk::in_memory(16);
+        view.write_file("u", &data).unwrap();
+        view.write_file("k", &kp).unwrap();
+        assert_eq!(view.read_file::<u32>("u").unwrap(), data);
+        assert_eq!(view.read_file::<KeyPayload>("k").unwrap(), kp);
+        let mut r = view.open_reader::<u32>("u").unwrap();
+        assert_eq!(r.read_at(97).unwrap(), data[97]);
+        r.seek(50);
+        assert_eq!(r.next_record().unwrap(), Some(data[50]));
+
+        let fallback = Disk::in_memory(16);
+        fallback.write_file("u", &staged(&data)).unwrap();
+        fallback.write_file("k", &staged(&kp)).unwrap();
+        assert_eq!(
+            fallback.read_file::<Staged<u32>>("u").unwrap(),
+            staged(&data)
+        );
+        assert_eq!(
+            fallback.read_file::<Staged<KeyPayload>>("k").unwrap(),
+            staged(&kp)
+        );
+        let mut r = fallback.open_reader::<Staged<u32>>("u").unwrap();
+        assert_eq!(r.read_at(97).unwrap(), Staged(data[97]));
+        r.seek(50);
+        assert_eq!(r.next_record().unwrap(), Some(Staged(data[50])));
+
+        assert_eq!(view.stats().snapshot(), fallback.stats().snapshot());
+        assert_eq!(
+            view.read_file::<u32>("u").unwrap(),
+            fallback.read_file::<u32>("u").unwrap()
+        );
+        assert_eq!(
+            view.read_file::<KeyPayload>("k").unwrap(),
+            fallback.read_file::<KeyPayload>("k").unwrap()
+        );
     }
 
     #[test]
-    fn zero_copy_direct_writes_meter_like_staged() {
-        // A bulk push_all under ZeroCopy appends full blocks without
-        // staging; the flush boundaries and counters must not move.
+    fn direct_writes_meter_like_staged() {
+        // A bulk push_all appends full blocks straight from the caller's
+        // slice; the flush boundaries and counters must match the staged
+        // per-record path.
         let data: Vec<u32> = (0..23).collect();
-        let copy = Disk::in_memory(16).with_codec(Codec::Copying);
-        let zero = Disk::in_memory(16).with_codec(Codec::ZeroCopy);
-        for disk in [&copy, &zero] {
-            let mut w = disk.create_writer::<u32>("d").unwrap();
-            w.push(100).unwrap(); // unaligned start: staging must engage
-            w.push_all(&data).unwrap();
-            w.finish().unwrap();
-        }
-        assert_eq!(copy.stats().snapshot(), zero.stats().snapshot());
+        let view = Disk::in_memory(16);
+        let mut w = view.create_writer::<u32>("d").unwrap();
+        w.push(100).unwrap(); // unaligned start: staging must engage
+        w.push_all(&data).unwrap();
+        w.finish().unwrap();
+        let fallback = Disk::in_memory(16);
+        let mut w = fallback.create_writer::<Staged<u32>>("d").unwrap();
+        w.push(Staged(100)).unwrap();
+        w.push_all(&staged(&data)).unwrap();
+        w.finish().unwrap();
+        assert_eq!(view.stats().snapshot(), fallback.stats().snapshot());
         assert_eq!(
-            copy.read_file::<u32>("d").unwrap(),
-            zero.read_file::<u32>("d").unwrap()
+            view.read_file::<u32>("d").unwrap(),
+            fallback.read_file::<u32>("d").unwrap()
         );
     }
 

@@ -21,7 +21,6 @@
 //!   `Sort(N) = Θ((n/D) log_m n)` bound the harness checks measured I/O
 //!   counts against.
 
-pub mod batch;
 pub mod disk;
 pub mod error;
 pub mod file;
@@ -34,10 +33,9 @@ pub mod stats;
 pub mod stripe;
 pub mod tempdir;
 
-pub use batch::{FileHandle, IoBackend, IoBatch, IoCompletion};
 pub use disk::{Backend, Disk};
 pub use error::{PdmError, PdmResult};
-pub use file::{BlockReader, BlockWriter, Codec};
+pub use file::{BlockReader, BlockWriter};
 pub use model::{ContentionModel, DiskModel};
 pub use params::PdmParams;
 pub use pipeline::{PrefetchReader, WriteBehindWriter, DEFAULT_PIPELINE_DEPTH};

@@ -404,78 +404,47 @@ def check_planner(doc):
 
 
 def check_wallclock(doc):
-    KERNELS = ["radix", "ips4o"]
-    CODECS = ["copy", "zerocopy"]
-    BACKENDS = ["serial", "batched"]
-    ROW_KEYS = {"kernel", "codec", "io_backend", "wall_secs",
-                "records_per_sec", "mb_per_sec"}
-    GATE_MIN_N = 1 << 26
-    SPEEDUP_GATE = 1.5
+    ROW_NAMES = ["std_slice_sort", "radix", "ips4o"]
+    ROW_KEYS = {"kernel", "wall_secs", "trial_secs", "records_per_sec",
+                "mb_per_sec"}
     for key in ("n", "record_bytes", "mem_records", "tapes", "block_bytes",
-                "sort_workers", "prefetch_depth"):
+                "sort_workers", "prefetch_depth", "trials"):
         if not isinstance(doc.get(key), int) or doc[key] <= 0:
             fail(f"{key} must be a positive integer")
-    ref = doc.get("reference")
-    upg = doc.get("upgraded")
-    if ref != {"kernel": "radix", "codec": "copy", "io_backend": "serial"}:
-        fail(f"unexpected reference cell {ref!r}")
-    if upg != {"kernel": "ips4o", "codec": "zerocopy",
-               "io_backend": "batched"}:
-        fail(f"unexpected upgraded cell {upg!r}")
+    host = doc.get("host")
+    if not isinstance(host, dict) or not isinstance(host.get("nproc"), int) \
+            or host["nproc"] <= 0:
+        fail(f"host.nproc must be a positive integer, got {host!r}")
 
     rows = doc.get("rows")
-    expected = 1 + len(KERNELS) * len(CODECS) * len(BACKENDS)
-    if not isinstance(rows, list) or len(rows) != expected:
-        fail(f"expected {expected} rows (baseline + grid), got "
-             f"{len(rows) if isinstance(rows, list) else rows!r}")
-
-    baseline = rows[0]
-    if baseline.get("kernel") != "std_slice_sort":
-        fail("first row must be the std_slice_sort baseline")
-    if baseline.get("codec") is not None \
-            or baseline.get("io_backend") is not None:
-        fail("baseline row must have null codec/io_backend")
-
-    seen = set()
+    if not isinstance(rows, list) \
+            or [r.get("kernel") for r in rows] != ROW_NAMES:
+        fail(f"rows must be {ROW_NAMES} in that order")
     for row in rows:
+        name = row["kernel"]
         if set(row) != ROW_KEYS:
-            fail(f"row keys {sorted(row)} != expected {sorted(ROW_KEYS)}")
+            fail(f"{name}: row keys {sorted(row)} != {sorted(ROW_KEYS)}")
         for key in ("wall_secs", "records_per_sec", "mb_per_sec"):
             if not isinstance(row[key], (int, float)) or row[key] <= 0:
-                fail(f"{row['kernel']}: {key} must be positive")
-        if row["kernel"] == "std_slice_sort":
-            continue
-        cell = (row["kernel"], row["codec"], row["io_backend"])
-        if row["kernel"] not in KERNELS or row["codec"] not in CODECS \
-                or row["io_backend"] not in BACKENDS:
-            fail(f"unknown grid cell {cell}")
-        if cell in seen:
-            fail(f"duplicate grid cell {cell}")
-        seen.add(cell)
-    if len(seen) != expected - 1:
-        fail(f"grid incomplete: {len(seen)} of {expected - 1} cells")
+                fail(f"{name}: {key} must be positive")
+        trials = row["trial_secs"]
+        if not isinstance(trials, list) or len(trials) != doc["trials"] \
+                or not all(isinstance(t, (int, float)) and t > 0
+                           for t in trials):
+            fail(f"{name}: trial_secs must hold {doc['trials']} positive "
+                 f"times, got {trials!r}")
+        ordered = sorted(trials)
+        mid = len(ordered) // 2
+        median = ordered[mid] if len(ordered) % 2 \
+            else (ordered[mid - 1] + ordered[mid]) / 2
+        if abs(median - row["wall_secs"]) > 1e-3 + 0.01 * median:
+            fail(f"{name}: wall_secs {row['wall_secs']} is not the median "
+                 f"{median:.4f} of its trials")
 
-    headline = doc.get("speedup_upgraded")
-    if not isinstance(headline, (int, float)) or headline <= 0:
-        fail(f"speedup_upgraded must be positive, got {headline!r}")
-    ref_row = next(r for r in rows
-                   if (r["kernel"], r["codec"], r["io_backend"])
-                   == ("radix", "copy", "serial"))
-    upg_row = next(r for r in rows
-                   if (r["kernel"], r["codec"], r["io_backend"])
-                   == ("ips4o", "zerocopy", "batched"))
-    derived = ref_row["wall_secs"] / upg_row["wall_secs"]
-    if abs(derived - headline) > 0.01 * max(derived, headline):
-        fail(f"speedup_upgraded {headline} disagrees with its rows "
-             f"{derived:.4f}")
-
-    if doc["n"] >= GATE_MIN_N and headline < SPEEDUP_GATE:
-        fail(f"at n={doc['n']} the upgraded cell must be >= {SPEEDUP_GATE}x "
-             f"the reference, got {headline:.2f}x")
-
-    scale = "GB-scale" if doc["n"] >= GATE_MIN_N else "reduced-scale"
-    print(f"wallclock ok ({scale}): {len(rows)} rows, upgraded speedup "
-          f"{headline:.2f}x")
+    scale = "GB-scale" if doc["n"] >= 1 << 26 else "reduced-scale"
+    medians = ", ".join(f"{r['kernel']} {r['wall_secs']:.2f}s" for r in rows)
+    print(f"wallclock ok ({scale}, {doc['trials']} trials, "
+          f"{host['nproc']} cores): {medians}")
 
 
 def check_kernels(doc):
