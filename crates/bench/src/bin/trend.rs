@@ -1,9 +1,8 @@
 //! Continuous perf-trend registry over the `BENCH_*.json` artifacts.
 //!
 //! Every bench binary emits one JSON file with one or more headline
-//! metrics (speedups, higher is better — the `scale` bench carries both
-//! the runtime-throughput and the grouped-splitter headline). This tool
-//! ingests all of them, appends the observations to a history log
+//! metrics (speedups, higher is better). This tool ingests all of them,
+//! appends the observations to a history log
 //! (`target/trend_history.jsonl` — one JSON line per headline per run),
 //! and gates against the committed baselines in `BENCH_trend.json`:
 //!
@@ -45,7 +44,6 @@ const HEADLINES: &[(&str, &str)] = &[
     ("parmerge_speedup", "speedup_4_workers"),
     ("planner_speedup", "nvme_adaptive_speedup"),
     ("critpath_report", "whatif_top_speedup"),
-    ("scale", "events_vs_threads_p64"),
     ("scale", "grouped_speedup_p256"),
 ];
 

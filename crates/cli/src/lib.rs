@@ -16,7 +16,7 @@
 //!                 [--mem N] [--tapes 16] [--block 32768] [--seed 7]
 //!                 [--workers W] [--merge-workers W|auto]
 //!                 [--disk scsi|nvme|free] [--kernel radix|comparison]
-//!                 [--runtime threads|events] [--splitter flat|grouped]
+//!                 [--splitter flat|grouped]
 //!                 [--trace-out trace.json] [--metrics-out metrics.json]
 //!                 [--critpath-out critpath.json] [--whatif]
 //!                 [--calibration-report] [--profile] [--streaming-merge]
@@ -79,13 +79,6 @@
 //! `comparison` (the comparison-based reference the paper's cost model
 //! was calibrated on). All produce byte-identical output.
 //!
-//! `--runtime` picks the cluster scheduler for `cluster` runs: `threads`
-//! (the default — one OS thread per simulated node) or `events` (every
-//! node is a task on a single-threaded discrete-event scheduler, which
-//! scales to hundreds of nodes in one process). Sorted output, I/O
-//! counters and — for the blocking exchange variants — the virtual
-//! clocks are identical under both.
-//!
 //! `--splitter` picks how `cluster` runs select the p−1 splitters:
 //! `flat` (the default — every node's sample is gathered and sorted at
 //! rank 0, the paper's step 2) or `grouped` (two-level √p-group
@@ -138,7 +131,6 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "merge-workers",
             "disk",
             "kernel",
-            "runtime",
             "splitter",
             "algo",
             "trace-out",
@@ -291,12 +283,6 @@ pub fn parse_merge_workers(opts: &Options) -> Result<MergeWorkers, String> {
             )),
         },
     }
-}
-
-/// Parses a cluster runtime name (`threads` or `events`).
-pub fn parse_runtime(s: &str) -> Result<cluster::RuntimeKind, String> {
-    cluster::RuntimeKind::parse(s)
-        .ok_or_else(|| format!("unknown --runtime {s:?} (threads or events)"))
 }
 
 /// Parses a splitter strategy name (`flat` or `grouped`).
@@ -459,7 +445,6 @@ fn cmd_cluster(opts: &Options) -> Result<String, String> {
         MergeWorkers::Default => false,
     };
     cfg.kernel = parse_kernel(opts.get_or("kernel", SortKernel::default().name()))?;
-    cfg.runtime = parse_runtime(opts.get_or("runtime", cluster::RuntimeKind::default().name()))?;
     cfg.splitter = parse_splitter(opts.get_or("splitter", "flat"))?;
     cfg.streaming = opts.flag("streaming-merge")?;
     if adaptive {
@@ -658,12 +643,13 @@ mod tests {
         let parse =
             |args: &[&str]| Options::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
         // Flags of removed knobs are rejected, not silently ignored.
-        for (retired, value) in [("io-backend", "batched"), ("codec", "copy")] {
+        for (command, retired, value) in [
+            ("sort", "io-backend", "batched"),
+            ("sort", "codec", "copy"),
+            ("cluster", "runtime", "events"),
+        ] {
             let flag = format!("--{retired}");
-            let args = [
-                "sort", "--dir", "d", "--input", "in", "--output", "out", &flag, value,
-            ];
-            let err = parse(&args).unwrap_err();
+            let err = parse(&[command, &flag, value]).unwrap_err();
             assert!(err.contains(&flag), "{err}");
         }
         let err = parse(&[
@@ -685,7 +671,7 @@ mod tests {
         // The flag sets of the CI steps all parse.
         for line in [
             "cluster --n 20000 --perf 1,2,1,4,1,2,4,1,2 --mem 4096 --tapes 4 --msg 512 \
-             --block 1024 --seed 3 --runtime events --splitter grouped \
+             --block 1024 --seed 3 --splitter grouped \
              --metrics-out metrics_grouped.json",
             "cluster --n 20000 --perf 1,1,4,4 --mem 4096 --tapes 4 --msg 512 --block 1024 \
              --seed 3 --merge-workers 4 --trace-out trace.json --metrics-out metrics.json \
@@ -823,54 +809,6 @@ mod tests {
         }
         let err = run(&opts(&["cluster", "--merge-workers", "sideways"])).unwrap_err();
         assert!(err.contains("auto"), "{err}");
-    }
-
-    #[test]
-    fn runtime_parsing() {
-        assert_eq!(
-            parse_runtime("threads").unwrap(),
-            cluster::RuntimeKind::Threads
-        );
-        assert_eq!(
-            parse_runtime("events").unwrap(),
-            cluster::RuntimeKind::Events
-        );
-        assert!(parse_runtime("fibers").is_err());
-    }
-
-    #[test]
-    fn cluster_runtime_flag_selects_identical_trials() {
-        // The same trial under --runtime threads and --runtime events must
-        // report the same virtual time, balance and traffic (blocking
-        // exchange variants are bit-identical across runtimes).
-        let base = [
-            "cluster",
-            "--n",
-            "8000",
-            "--perf",
-            "1,1,4,4",
-            "--mem",
-            "4096",
-            "--tapes",
-            "4",
-            "--msg",
-            "512",
-            "--block",
-            "1024",
-            "--seed",
-            "3",
-            "--runtime",
-        ];
-        let mut outs = Vec::new();
-        for runtime in ["threads", "events"] {
-            let mut args: Vec<&str> = base.to_vec();
-            args.push(runtime);
-            outs.push(run(&opts(&args)).unwrap());
-        }
-        assert!(outs[0].contains("sublist expansion"), "{}", outs[0]);
-        assert_eq!(outs[0], outs[1], "runtimes reported different trials");
-        let err = run(&opts(&["cluster", "--runtime", "fibers"])).unwrap_err();
-        assert!(err.contains("threads or events"), "{err}");
     }
 
     #[test]

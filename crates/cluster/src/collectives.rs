@@ -255,59 +255,36 @@ impl Endpoint {
 mod tests {
     use super::*;
     use crate::cost::CpuModel;
-    use crate::events::block_on;
     use crate::net::NetworkModel;
-    use crate::spec::TimePolicy;
-    use pdm::Disk;
-    use sim::{Jitter, SimDuration};
+    use crate::runtime::run_cluster;
+    use crate::spec::ClusterSpec;
+    use sim::SimDuration;
 
-    fn charger() -> Charger {
-        Charger::new(
-            CpuModel::free(),
-            1.0,
-            Jitter::none(),
-            Disk::in_memory(64),
-            TimePolicy::Modeled,
-        )
-    }
-
-    /// Runs `f(rank, endpoint, charger)` on `p` threads; returns per-rank
-    /// outputs.
-    fn on_cluster<T: Send>(
+    /// Runs `f(rank, endpoint, charger)` on every node of a `p`-node
+    /// cluster with free CPU; returns per-rank outputs.
+    fn on_cluster<T>(
         p: usize,
         net: NetworkModel,
-        f: impl Fn(usize, &mut Endpoint, &mut Charger) -> T + Send + Sync,
+        f: impl AsyncFn(usize, &mut Endpoint, &mut Charger) -> T,
     ) -> Vec<T> {
-        let eps = Endpoint::mesh(p, net);
-        let mut out: Vec<Option<T>> = Vec::new();
-        for _ in 0..p {
-            out.push(None);
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .into_iter()
-                .enumerate()
-                .map(|(rank, mut ep)| {
-                    let f = &f;
-                    s.spawn(move || {
-                        let mut ch = charger();
-                        f(rank, &mut ep, &mut ch)
-                    })
-                })
-                .collect();
-            for (slot, h) in out.iter_mut().zip(handles) {
-                *slot = Some(h.join().expect("node panicked"));
-            }
-        });
-        out.into_iter().map(|o| o.unwrap()).collect()
+        let spec = ClusterSpec::homogeneous(p)
+            .with_net(net)
+            .with_cpu(CpuModel::free());
+        run_cluster(&spec, async |ctx| {
+            f(ctx.rank, &mut ctx.endpoint, &mut ctx.charger).await
+        })
+        .nodes
+        .into_iter()
+        .map(|n| n.value)
+        .collect()
     }
 
     #[test]
     fn barrier_synchronizes_clocks() {
-        let times = on_cluster(4, NetworkModel::fast_ethernet(), |rank, ep, ch| {
+        let times = on_cluster(4, NetworkModel::fast_ethernet(), async |rank, ep, ch| {
             // Node `rank` works for `rank` seconds before the barrier.
             ch.charge_cpu_raw(SimDuration::from_secs(rank as f64));
-            block_on(ep.barrier(ch));
+            ep.barrier(ch).await;
             ch.now().as_secs()
         });
         // Everyone leaves the barrier at ≥ the slowest node's entry time.
@@ -318,8 +295,8 @@ mod tests {
 
     #[test]
     fn gather_collects_by_rank() {
-        let results = on_cluster(3, NetworkModel::infinite(), |rank, ep, ch| {
-            block_on(ep.gather(0, vec![rank as u8; rank + 1], ch))
+        let results = on_cluster(3, NetworkModel::infinite(), async |rank, ep, ch| {
+            ep.gather(0, vec![rank as u8; rank + 1], ch).await
         });
         let at_root = results[0].as_ref().expect("root gets the gather");
         assert_eq!(at_root[0], vec![0u8; 1]);
@@ -330,23 +307,23 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone() {
-        let results = on_cluster(4, NetworkModel::infinite(), |rank, ep, ch| {
+        let results = on_cluster(4, NetworkModel::infinite(), async |rank, ep, ch| {
             let payload = if rank == 2 {
                 b"pivots".to_vec()
             } else {
                 Vec::new()
             };
-            block_on(ep.broadcast(2, payload, ch))
+            ep.broadcast(2, payload, ch).await
         });
         assert!(results.iter().all(|r| r == b"pivots"));
     }
 
     #[test]
     fn all_to_all_routes_correctly() {
-        let results = on_cluster(3, NetworkModel::infinite(), |rank, ep, ch| {
+        let results = on_cluster(3, NetworkModel::infinite(), async |rank, ep, ch| {
             // Node i sends the byte (10*i + j) to node j.
             let outgoing: Vec<Vec<u8>> = (0..3).map(|j| vec![(10 * rank + j) as u8]).collect();
-            block_on(ep.all_to_all(outgoing, ch))
+            ep.all_to_all(outgoing, ch).await
         });
         for (j, incoming) in results.iter().enumerate() {
             for (i, payload) in incoming.iter().enumerate() {
@@ -360,26 +337,30 @@ mod tests {
         // Groups {0,2} and {1,3}: each group gathers at its first member,
         // broadcasts a verdict back, then all-to-alls inside the group —
         // all with fixed user tags, concurrently across groups.
-        let results = on_cluster(4, NetworkModel::infinite(), |rank, ep, ch| {
+        let results = on_cluster(4, NetworkModel::infinite(), async |rank, ep, ch| {
             let members = if rank % 2 == 0 {
                 vec![0usize, 2]
             } else {
                 vec![1usize, 3]
             };
             let root = members[0];
-            let g = block_on(ep.gather_subset(&members, root, vec![rank as u8], Tag::user(9), ch));
+            let g = ep
+                .gather_subset(&members, root, vec![rank as u8], Tag::user(9), ch)
+                .await;
             let verdict = if rank == root {
                 let got = g.as_ref().expect("root gathers");
                 vec![got[0][0] + got[1][0]]
             } else {
                 Vec::new()
             };
-            let b = block_on(ep.broadcast_subset(&members, root, verdict, Tag::user(10), ch));
+            let b = ep
+                .broadcast_subset(&members, root, verdict, Tag::user(10), ch)
+                .await;
             let out: Vec<Vec<u8>> = members
                 .iter()
                 .map(|&m| vec![(rank * 10 + m) as u8])
                 .collect();
-            let a2a = block_on(ep.all_to_all_subset(&members, out, Tag::user(11), ch));
+            let a2a = ep.all_to_all_subset(&members, out, Tag::user(11), ch).await;
             (g, b, a2a)
         });
         // Gather lands only at each group's root, indexed by position.
@@ -398,21 +379,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node panicked")]
+    #[should_panic(expected = "without being a member")]
     fn subset_collective_rejects_non_members() {
-        let _ = on_cluster(2, NetworkModel::infinite(), |_rank, ep, ch| {
+        let _ = on_cluster(2, NetworkModel::infinite(), async |_rank, ep, ch| {
             // Rank 1 is not in the subset — must panic.
-            block_on(ep.broadcast_subset(&[0], 0, Vec::new(), Tag::user(9), ch))
+            ep.broadcast_subset(&[0], 0, Vec::new(), Tag::user(9), ch)
+                .await
         });
     }
 
     #[test]
     fn consecutive_collectives_do_not_crosstalk() {
-        let results = on_cluster(2, NetworkModel::infinite(), |rank, ep, ch| {
-            let a = block_on(ep.broadcast(0, if rank == 0 { vec![1] } else { vec![] }, ch));
-            let b = block_on(ep.broadcast(0, if rank == 0 { vec![2] } else { vec![] }, ch));
-            block_on(ep.barrier(ch));
-            let c = block_on(ep.broadcast(1, if rank == 1 { vec![3] } else { vec![] }, ch));
+        let results = on_cluster(2, NetworkModel::infinite(), async |rank, ep, ch| {
+            let a = ep
+                .broadcast(0, if rank == 0 { vec![1] } else { vec![] }, ch)
+                .await;
+            let b = ep
+                .broadcast(0, if rank == 0 { vec![2] } else { vec![] }, ch)
+                .await;
+            ep.barrier(ch).await;
+            let c = ep
+                .broadcast(1, if rank == 1 { vec![3] } else { vec![] }, ch)
+                .await;
             (a, b, c)
         });
         for (a, b, c) in results {

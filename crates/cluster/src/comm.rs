@@ -3,30 +3,20 @@
 //! Every node owns an [`Endpoint`]. A message records its *arrival time* —
 //! the sender's clock at send plus the network's wire time — and the
 //! receiver merges that into its own clock, so causality and waiting fall
-//! out of the timestamps without a global scheduler.
+//! out of the timestamps without a global clock.
 //!
-//! Endpoints run over one of two transports, chosen by the runtime:
-//!
-//! * **Threads** — an inbound mpsc channel plus senders to every node;
-//!   blocking receives park the OS thread. A 60-second real-time timeout
-//!   turns an algorithmic deadlock into a loud panic instead of a hung
-//!   test suite.
-//! * **Events** — a shared [`Fabric`] mailbox; blocking receives park the
-//!   node *task* on the single-threaded event scheduler, which detects
-//!   deadlock immediately (all tasks parked) instead of timing out.
-//!
-//! The virtual-time arithmetic (link occupancy, arrival stamps, delivery
-//! charges) is transport-independent, which is what makes the two runtimes
-//! produce bit-identical clocks on blocking exchange patterns.
+//! Endpoints share one [`Fabric`] mailbox. A send lands in the peer's
+//! mailbox at once; a blocking receive with nothing to match parks the
+//! node *task* on the runtime's single-threaded scheduler, which detects
+//! deadlock immediately (every live task parked) and panics with a
+//! per-node wait report.
 //!
 //! Receives are *selective* (by sender and tag); out-of-order arrivals park
-//! in a pending list. The blocking receives are `async`: under the thread
-//! transport they never actually yield (the channel read blocks
-//! internally), under the event transport the `.await` is the yield point.
+//! in a pending list. The blocking receives are `async`: the `.await` is
+//! the scheduler's yield point.
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use pdm::{record, Record};
 use sim::SimTime;
@@ -73,26 +63,12 @@ pub struct Message {
     pub bytes: Vec<u8>,
 }
 
-/// How messages physically move between endpoints. Virtual-time stamps are
-/// computed identically on both arms; only the carrier differs.
-#[derive(Debug)]
-enum Transport {
-    /// One unbounded mpsc channel per node (thread runtime).
-    Threads {
-        rx: Receiver<Message>,
-        txs: Vec<Sender<Message>>,
-    },
-    /// Shared mailbox fabric (event runtime). The mutex is never contended
-    /// — the event loop is single-threaded — it only keeps `Endpoint: Send`.
-    Events { fabric: Arc<Mutex<Fabric>> },
-}
-
 /// One node's communication port.
 #[derive(Debug)]
 pub struct Endpoint {
     rank: usize,
     p: usize,
-    transport: Transport,
+    fabric: Rc<RefCell<Fabric>>,
     pending: Vec<Message>,
     net: NetworkModel,
     /// Per-destination link occupancy: the virtual time at which this
@@ -104,69 +80,25 @@ pub struct Endpoint {
     sent_bytes: u64,
 }
 
-/// How long a blocking receive waits (wall-clock) before declaring the
-/// cluster deadlocked. Thread transport only; the event scheduler detects
-/// deadlock exactly, with no timeout.
-const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(60);
-
 impl Endpoint {
-    /// Wires up thread-transport endpoints for `p` nodes over the given
-    /// fabric model.
-    pub fn mesh(p: usize, net: NetworkModel) -> Vec<Endpoint> {
-        let mut rxs = Vec::with_capacity(p);
-        let mut txs = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        rxs.into_iter()
-            .enumerate()
-            .map(|(rank, rx)| {
-                Endpoint::with_transport(
-                    rank,
-                    p,
-                    Transport::Threads {
-                        rx,
-                        txs: txs.clone(),
-                    },
-                    net.clone(),
-                )
-            })
-            .collect()
-    }
-
-    /// Wires up event-transport endpoints for `p` nodes; the returned
-    /// fabric is handed to the event scheduler.
-    pub(crate) fn event_mesh(p: usize, net: NetworkModel) -> (Vec<Endpoint>, Arc<Mutex<Fabric>>) {
+    /// Wires up endpoints for `p` nodes over one shared fabric; the
+    /// returned fabric handle goes to the runtime's scheduler.
+    pub(crate) fn wire(p: usize, net: NetworkModel) -> (Vec<Endpoint>, Rc<RefCell<Fabric>>) {
         let fabric = Fabric::new(p);
         let eps = (0..p)
-            .map(|rank| {
-                Endpoint::with_transport(
-                    rank,
-                    p,
-                    Transport::Events {
-                        fabric: fabric.clone(),
-                    },
-                    net.clone(),
-                )
+            .map(|rank| Endpoint {
+                rank,
+                p,
+                fabric: fabric.clone(),
+                pending: Vec::new(),
+                net: net.clone(),
+                link_free: vec![SimTime::ZERO; p],
+                coll_seq: 0,
+                sent_messages: 0,
+                sent_bytes: 0,
             })
             .collect();
         (eps, fabric)
-    }
-
-    fn with_transport(rank: usize, p: usize, transport: Transport, net: NetworkModel) -> Endpoint {
-        Endpoint {
-            rank,
-            p,
-            transport,
-            pending: Vec::new(),
-            net,
-            link_free: vec![SimTime::ZERO; p],
-            coll_seq: 0,
-            sent_messages: 0,
-            sent_bytes: 0,
-        }
     }
 
     /// This endpoint's rank.
@@ -185,16 +117,11 @@ impl Endpoint {
     }
 
     /// Labels this rank with its current sub-communicator for deadlock
-    /// diagnostics (`None` = back on the global communicator). Only the
-    /// event runtime keeps a central registry; the thread transport has no
-    /// central deadlock reporter, so this is a no-op there.
+    /// diagnostics (`None` = back on the global communicator).
     pub fn set_group_label(&mut self, label: Option<&str>) {
-        if let Transport::Events { fabric } = &self.transport {
-            fabric
-                .lock()
-                .expect("fabric lock")
-                .set_group(self.rank, label.map(String::from));
-        }
+        self.fabric
+            .borrow_mut()
+            .set_group(self.rank, label.map(String::from));
     }
 
     /// Messages sent so far (excluding self-sends).
@@ -209,8 +136,8 @@ impl Endpoint {
 
     /// Sends `bytes` to node `to`. Charges the sender the per-message CPU
     /// overhead; the wire time shows up in the message's arrival timestamp.
-    /// Self-sends are free local moves. Never blocks (both transports queue
-    /// without bound), so sends are not yield points.
+    /// Self-sends are free local moves. Never blocks (mailboxes are
+    /// unbounded), so sends are not yield points.
     pub fn send(&mut self, to: usize, tag: Tag, bytes: Vec<u8>, charger: &mut Charger) {
         assert!(to < self.p, "send to rank {to} of {}", self.p);
         let (depart, arrival) = if to == self.rank {
@@ -234,72 +161,35 @@ impl Endpoint {
             depart,
             bytes,
         };
-        match &self.transport {
-            Transport::Threads { txs, .. } => txs[to].send(msg).expect("receiver endpoint dropped"),
-            Transport::Events { fabric } => fabric.lock().expect("fabric lock").deliver(to, msg),
-        }
+        self.fabric.borrow_mut().deliver(to, msg);
     }
 
-    /// Waits until at least one new message lands on the pending list. The
-    /// thread transport blocks the OS thread on its channel (deadlock
-    /// timeout); the event transport parks the task on the scheduler.
+    /// Waits until at least one new message lands on the pending list,
+    /// parking the task on the scheduler while the mailbox is empty.
     async fn await_delivery(&mut self, wait: WaitKind, now: SimTime) {
-        match &mut self.transport {
-            Transport::Threads { rx, .. } => match rx.recv_timeout(DEADLOCK_TIMEOUT) {
-                Ok(msg) => {
-                    self.pending.push(msg);
-                    // Absorb whatever else already landed while we slept.
-                    while let Ok(m) = rx.try_recv() {
-                        self.pending.push(m);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => panic!(
-                    "node {} deadlocked waiting for {}; {} messages pending",
-                    self.rank,
-                    wait.describe(),
-                    self.pending.len()
-                ),
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("cluster torn down while node {} was receiving", self.rank)
-                }
-            },
-            Transport::Events { fabric } => loop {
-                let drained = fabric
-                    .lock()
-                    .expect("fabric lock")
-                    .drain_into(self.rank, &mut self.pending);
-                if drained {
-                    return;
-                }
-                Park::new(fabric.clone(), self.rank, now, wait.clone()).await;
-            },
+        while !self
+            .fabric
+            .borrow_mut()
+            .drain_into(self.rank, &mut self.pending)
+        {
+            Park::new(self.fabric.clone(), self.rank, now, wait.clone()).await;
         }
     }
 
     /// Moves everything already delivered onto the pending list without
     /// blocking.
     fn drain_available(&mut self) {
-        match &mut self.transport {
-            Transport::Threads { rx, .. } => {
-                while let Ok(msg) = rx.try_recv() {
-                    self.pending.push(msg);
-                }
-            }
-            Transport::Events { fabric } => {
-                fabric
-                    .lock()
-                    .expect("fabric lock")
-                    .drain_into(self.rank, &mut self.pending);
-            }
-        }
+        self.fabric
+            .borrow_mut()
+            .drain_into(self.rank, &mut self.pending);
     }
 
     /// Receives the next message from `from` with tag `tag`, blocking until
     /// it arrives. Merges the arrival timestamp into the node clock.
     ///
     /// # Panics
-    /// Panics on deadlock: after 60 s of wall-clock inactivity under the
-    /// thread transport, immediately under the event scheduler.
+    /// The scheduler panics on deadlock, as soon as every live node is
+    /// parked.
     pub async fn recv_from(&mut self, from: usize, tag: Tag, charger: &mut Charger) -> Message {
         loop {
             if let Some(i) = self
@@ -347,9 +237,8 @@ impl Endpoint {
     /// No per-message CPU overhead is charged here (nor by
     /// [`Self::recv_any`]): batch receivers charge `recv_overhead` in
     /// aggregate once the batch completes, which keeps the virtual clock
-    /// independent of the real-thread interleaving (the arrival merge is a
-    /// pure `max`, so *it* commutes; interleaved additive charges would
-    /// not).
+    /// independent of how arrivals interleave (the arrival merge is a pure
+    /// `max`, so *it* commutes; interleaved additive charges would not).
     pub fn try_recv_any(&mut self, tags: &[Tag], charger: &Charger) -> Option<Message> {
         self.drain_available();
         let now = charger.now();
@@ -445,23 +334,28 @@ mod tests {
         )
     }
 
+    /// `p` endpoints over one fabric. Sends land synchronously in the
+    /// peer's mailbox, so sequential single-threaded code can drive every
+    /// endpoint as long as each receive follows its matching send.
+    fn endpoints(p: usize, net: NetworkModel) -> Vec<Endpoint> {
+        Endpoint::wire(p, net).0
+    }
+
     #[test]
     fn two_node_ping_pong() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::fast_ethernet());
+        let mut eps = endpoints(2, NetworkModel::fast_ethernet());
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
-        let t = std::thread::spawn(move || {
-            let mut ch = charger();
-            let msg = block_on(e1.recv_from(0, Tag::user(1), &mut ch));
-            assert_eq!(msg.bytes, b"ping");
-            e1.send(0, Tag::user(2), b"pong".to_vec(), &mut ch);
-            ch.now()
-        });
         let mut ch = charger();
+        let mut ch1 = charger();
         e0.send(1, Tag::user(1), b"ping".to_vec(), &mut ch);
+        let msg = block_on(e1.recv_from(0, Tag::user(1), &mut ch1));
+        assert_eq!(msg.bytes, b"ping");
+        e1.send(0, Tag::user(2), b"pong".to_vec(), &mut ch1);
+        let peer_time = ch1.now();
         let reply = block_on(e0.recv_from(1, Tag::user(2), &mut ch));
         assert_eq!(reply.bytes, b"pong");
-        let peer_time = t.join().unwrap();
+        assert_eq!(e0.sent_messages(), 1);
         // The reply's arrival is after two wire traversals.
         assert!(ch.now() > peer_time.merge(SimTime::ZERO) || ch.now().as_secs() > 0.0);
         assert!(
@@ -473,7 +367,7 @@ mod tests {
 
     #[test]
     fn selective_receive_reorders() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::infinite());
+        let mut eps = endpoints(2, NetworkModel::infinite());
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         let mut ch0 = charger();
@@ -498,7 +392,7 @@ mod tests {
 
     #[test]
     fn arrival_timestamp_reflects_bandwidth() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::fast_ethernet());
+        let mut eps = endpoints(2, NetworkModel::fast_ethernet());
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         let mut ch0 = charger();
@@ -512,7 +406,7 @@ mod tests {
 
     #[test]
     fn self_send_is_instant() {
-        let mut eps = Endpoint::mesh(1, NetworkModel::fast_ethernet());
+        let mut eps = endpoints(1, NetworkModel::fast_ethernet());
         let mut e0 = eps.pop().unwrap();
         let mut ch = charger();
         e0.send(0, Tag::user(1), vec![42], &mut ch);
@@ -524,7 +418,7 @@ mod tests {
 
     #[test]
     fn typed_records_roundtrip() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::infinite());
+        let mut eps = endpoints(2, NetworkModel::infinite());
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         let mut ch0 = charger();
@@ -537,7 +431,7 @@ mod tests {
 
     #[test]
     fn traffic_counters() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::infinite());
+        let mut eps = endpoints(2, NetworkModel::infinite());
         let _e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         let mut ch = charger();
@@ -558,7 +452,7 @@ mod tests {
         // Both senders transmit before the receiver looks; the bigger
         // payload from the lower rank arrives later, so arrival order and
         // rank order disagree. recv_any must follow arrivals.
-        let mut eps = Endpoint::mesh(3, NetworkModel::fast_ethernet());
+        let mut eps = endpoints(3, NetworkModel::fast_ethernet());
         let mut e2 = eps.pop().unwrap();
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
@@ -578,7 +472,7 @@ mod tests {
 
     #[test]
     fn recv_any_matches_tag_filter() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::infinite());
+        let mut eps = endpoints(2, NetworkModel::infinite());
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         let mut ch0 = charger();
@@ -595,27 +489,20 @@ mod tests {
 
     #[test]
     fn try_recv_any_respects_virtual_time() {
-        let mut eps = Endpoint::mesh(2, NetworkModel::fast_ethernet());
+        let mut eps = endpoints(2, NetworkModel::fast_ethernet());
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         let mut ch0 = charger();
         e0.send(1, Tag::user(1), vec![0u8; 125_000], &mut ch0); // ~10 ms wire
         let mut ch1 = charger();
-        // Wait until the message is physically in the channel, then poll: at
-        // virtual time 0 the bytes are still on the wire, so the poll must
-        // come up empty without advancing the clock.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            assert!(
-                e1.try_recv_any(&[Tag::user(1)], &ch1).is_none(),
-                "message from the virtual future leaked into a poll"
-            );
-            if !e1.pending.is_empty() {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "send never landed");
-            std::thread::yield_now();
-        }
+        // The message is already in the mailbox, but at virtual time 0 its
+        // bytes are still on the wire: the poll must come up empty without
+        // advancing the clock, leaving the message pending.
+        assert!(
+            e1.try_recv_any(&[Tag::user(1)], &ch1).is_none(),
+            "message from the virtual future leaked into a poll"
+        );
+        assert_eq!(e1.pending.len(), 1, "send never landed");
         assert_eq!(ch1.now().as_secs(), 0.0);
         // Once the receiver's own work passes the arrival stamp, the poll
         // delivers.
@@ -623,24 +510,5 @@ mod tests {
         let msg = e1.try_recv_any(&[Tag::user(1)], &ch1).expect("arrived");
         assert_eq!(msg.from, 0);
         assert!(e1.try_recv_any(&[Tag::user(1)], &ch1).is_none());
-    }
-
-    #[test]
-    fn event_transport_delivers_without_threads() {
-        // The same ping-pong as above, but over the event fabric with no
-        // extra thread: sends land synchronously in the peer's mailbox, so
-        // single-threaded sequential code can drive both endpoints.
-        let (mut eps, _fabric) = Endpoint::event_mesh(2, NetworkModel::fast_ethernet());
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        let mut ch0 = charger();
-        let mut ch1 = charger();
-        e0.send(1, Tag::user(1), b"ping".to_vec(), &mut ch0);
-        let msg = block_on(e1.recv_from(0, Tag::user(1), &mut ch1));
-        assert_eq!(msg.bytes, b"ping");
-        e1.send(0, Tag::user(2), b"pong".to_vec(), &mut ch1);
-        let reply = block_on(e0.recv_from(1, Tag::user(2), &mut ch0));
-        assert_eq!(reply.bytes, b"pong");
-        assert_eq!(e0.sent_messages(), 1);
     }
 }

@@ -1,25 +1,25 @@
-//! Discrete-event machinery behind the single-threaded cluster runtime.
+//! Discrete-event machinery behind the cluster runtime.
 //!
-//! The event runtime turns every node into a cooperatively-scheduled task
-//! (a `Future` polled by [`crate::runtime::run_cluster`]'s executor) and
-//! routes messages through a shared [`Fabric`] instead of per-node mpsc
-//! channels. A blocking receive that finds nothing in its mailbox parks
-//! the task by awaiting a [`Park`] future; delivering a message to a
-//! parked rank makes it runnable again. The executor always resumes the
-//! runnable task with the smallest (virtual clock, rank) key, so the
-//! schedule is a pure function of virtual time — independent of wall
-//! clock, host load and thread scheduling.
+//! The runtime turns every node into a cooperatively-scheduled task (a
+//! `Future` polled by [`crate::runtime::run_cluster`]'s executor) and
+//! routes messages through one shared [`Fabric`]. A blocking receive
+//! that finds nothing in its mailbox parks the task by awaiting a
+//! [`Park`] future; delivering a message to a parked rank makes it
+//! runnable again. The executor always resumes the runnable task with
+//! the smallest (virtual clock, rank) key, so the schedule is a pure
+//! function of virtual time — independent of wall clock, host load and
+//! thread scheduling.
 //!
-//! Everything here is single-threaded at runtime: the `Mutex` around the
-//! fabric exists only so `Endpoint` stays `Send` (the thread runtime
-//! moves endpoints into `thread::scope` spawns) and is never contended.
+//! Everything here runs on one thread, so endpoints share the fabric
+//! through an `Rc<RefCell<_>>`.
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use sim::SimTime;
 
@@ -35,7 +35,7 @@ pub(crate) enum WaitKind {
 }
 
 impl WaitKind {
-    pub(crate) fn describe(&self) -> String {
+    fn describe(&self) -> String {
         match self {
             WaitKind::From { from, tag } => format!("(from={from}, tag={tag:?})"),
             WaitKind::Any { tags } => format!("any of {tags:?}"),
@@ -62,7 +62,7 @@ fn sched_key(clock: SimTime, rank: usize) -> (u64, usize) {
     (clock.as_secs().to_bits(), rank)
 }
 
-/// The event runtime's shared mail system: one mailbox and one scheduler
+/// The runtime's shared mail system: one mailbox and one scheduler
 /// state per rank.
 #[derive(Debug)]
 pub(crate) struct Fabric {
@@ -82,8 +82,8 @@ pub(crate) struct Fabric {
 }
 
 impl Fabric {
-    pub(crate) fn new(p: usize) -> Arc<Mutex<Fabric>> {
-        Arc::new(Mutex::new(Fabric {
+    pub(crate) fn new(p: usize) -> Rc<RefCell<Fabric>> {
+        Rc::new(RefCell::new(Fabric {
             inboxes: (0..p).map(|_| VecDeque::new()).collect(),
             states: (0..p)
                 .map(|_| TaskState::Runnable {
@@ -162,7 +162,7 @@ impl Fabric {
 
     /// A per-rank wait report for the deadlock panic.
     pub(crate) fn deadlock_report(&self) -> String {
-        let mut out = String::from("event cluster deadlocked; per-node waits:\n");
+        let mut out = String::from("cluster deadlocked; per-node waits:\n");
         for (rank, s) in self.states.iter().enumerate() {
             let group = match &self.groups[rank] {
                 Some(label) => format!(" [comm group {label}]"),
@@ -194,7 +194,7 @@ impl Fabric {
 /// fabric and suspends the task; once a delivery marks the rank runnable
 /// the executor re-polls and the second poll completes.
 pub(crate) struct Park {
-    fabric: Arc<Mutex<Fabric>>,
+    fabric: Rc<RefCell<Fabric>>,
     rank: usize,
     clock: SimTime,
     wait: Option<WaitKind>,
@@ -202,7 +202,7 @@ pub(crate) struct Park {
 
 impl Park {
     pub(crate) fn new(
-        fabric: Arc<Mutex<Fabric>>,
+        fabric: Rc<RefCell<Fabric>>,
         rank: usize,
         clock: SimTime,
         wait: WaitKind,
@@ -223,10 +223,7 @@ impl Future for Park {
         let this = self.get_mut();
         match this.wait.take() {
             Some(wait) => {
-                this.fabric
-                    .lock()
-                    .expect("fabric lock")
-                    .park(this.rank, this.clock, wait);
+                this.fabric.borrow_mut().park(this.rank, this.clock, wait);
                 Poll::Pending
             }
             None => Poll::Ready(()),
@@ -234,22 +231,23 @@ impl Future for Park {
     }
 }
 
-/// Polls `fut` once with a no-op waker and unwraps the result. The
-/// thread runtime drives each node future through this: its receives
-/// block the OS thread internally (mpsc `recv_timeout`), so the future
-/// completes on the first poll. Only the event transport ever yields.
+/// Polls `fut` once with a no-op waker and unwraps the result: drives
+/// endpoint code in unit tests whose messages were all delivered before
+/// the receive, so it never parks.
+#[cfg(test)]
 pub(crate) fn block_on<F: Future>(fut: F) -> F::Output {
     let mut fut = std::pin::pin!(fut);
-    let mut cx = Context::from_waker(Waker::noop());
+    let mut cx = Context::from_waker(std::task::Waker::noop());
     match fut.as_mut().poll(&mut cx) {
         Poll::Ready(v) => v,
-        Poll::Pending => unreachable!("thread-runtime future parked; parking is event-mode only"),
+        Poll::Pending => panic!("receive parked with no delivery pending"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::task::Waker;
 
     fn msg(from: usize) -> Message {
         Message {
@@ -265,7 +263,7 @@ mod tests {
     fn delivery_wakes_a_parked_task() {
         let fabric = Fabric::new(2);
         {
-            let mut f = fabric.lock().unwrap();
+            let mut f = fabric.borrow_mut();
             f.park(1, SimTime::from_secs(3.0), WaitKind::Any { tags: vec![] });
             // Only rank 0 is runnable while 1 is parked.
             assert_eq!(f.next_runnable(), Some(0));
@@ -284,7 +282,7 @@ mod tests {
     #[test]
     fn scheduler_prefers_smallest_clock_then_rank() {
         let fabric = Fabric::new(3);
-        let mut f = fabric.lock().unwrap();
+        let mut f = fabric.borrow_mut();
         let t = SimTime::from_secs;
         f.park(0, t(5.0), WaitKind::Any { tags: vec![] });
         f.park(1, t(2.0), WaitKind::Any { tags: vec![] });
@@ -313,16 +311,16 @@ mod tests {
         ));
         let mut cx = Context::from_waker(Waker::noop());
         assert!(park.as_mut().poll(&mut cx).is_pending());
-        fabric.lock().unwrap().assert_parked(0);
+        fabric.borrow_mut().assert_parked(0);
         assert!(park.as_mut().poll(&mut cx).is_ready());
-        let report = fabric.lock().unwrap().deadlock_report();
+        let report = fabric.borrow_mut().deadlock_report();
         assert!(report.contains("node 0"), "{report}");
     }
 
     #[test]
     fn deadlock_report_names_group_membership() {
         let fabric = Fabric::new(3);
-        let mut f = fabric.lock().unwrap();
+        let mut f = fabric.borrow_mut();
         f.set_group(0, Some("g0".into()));
         f.set_group(1, Some("leaders".into()));
         f.park(

@@ -5,12 +5,12 @@
 //! in-process:
 //!
 //! * every node is a task with its own [`pdm::Disk`] and its own virtual
-//!   clock ([`clock::NodeClock`]), executed either as one OS thread each
-//!   or on a single-threaded discrete-event scheduler
-//!   ([`spec::RuntimeKind`]);
-//! * nodes exchange byte messages through [`comm::Endpoint`]s (std `mpsc`
-//!   channels underneath); every message carries a Lamport timestamp, and a
-//!   receive merges `max(local, send_time + network_cost)` into the
+//!   clock ([`clock::NodeClock`]); all tasks run on one thread under a
+//!   discrete-event scheduler that always resumes the node with the
+//!   smallest virtual clock, so every run is deterministic;
+//! * nodes exchange byte messages through [`comm::Endpoint`]s over one
+//!   shared mailbox fabric; every message carries a Lamport timestamp,
+//!   and a receive merges `max(local, send_time + network_cost)` into the
 //!   receiver's clock, so the *makespan* of a run is simply the maximum
 //!   node clock at the end;
 //! * [`net::NetworkModel`] prices messages (latency + bytes/bandwidth);

@@ -7,26 +7,15 @@
 //! barrier (so every clock reflects the full run) and reports per-node
 //! outcomes plus the makespan.
 //!
-//! Two interchangeable schedulers implement this contract, selected by
-//! [`ClusterSpec::runtime`]:
-//!
-//! * **Threads** ([`RuntimeKind::Threads`]) — one OS thread per node;
-//!   blocking receives park the thread on its mpsc channel. Node futures
-//!   never actually suspend (the comm layer blocks internally), so each
-//!   is driven by a single poll.
-//! * **Events** ([`RuntimeKind::Events`]) — a single-threaded
-//!   discrete-event executor; blocking receives are yield points that
-//!   park the node *task* until the matching message is delivered. The
-//!   runnable task with the smallest (virtual clock, rank) key runs
-//!   next, so scheduling is a pure function of virtual time and the
-//!   whole simulation — including the streamed exchange's arrival
-//!   order — is deterministic. One process comfortably simulates
-//!   hundreds of nodes.
-//!
-//! Both runtimes share the same per-node setup and finish path
-//! ([`drive`]), and the virtual-time arithmetic in the comm layer is
-//! transport-independent, so blocking exchange patterns produce
-//! bit-identical clocks under either scheduler.
+//! The scheduler is a single-threaded discrete-event executor: every
+//! node is a cooperatively-scheduled task, and a blocking receive with an
+//! empty mailbox is a yield point that parks the task until the matching
+//! message is delivered. The runnable task with the smallest (virtual
+//! clock, rank) key runs next, so scheduling is a pure function of
+//! virtual time and the whole simulation — including the streamed
+//! exchange's arrival order — is deterministic. One process comfortably
+//! simulates hundreds of nodes. Worker threads *inside* a node (sort and
+//! merge workers) stay real threads.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -39,8 +28,7 @@ use sim::{Jitter, SimDuration, SimTime, SplitMix64};
 
 use crate::charge::Charger;
 use crate::comm::{Endpoint, Message, Tag};
-use crate::events;
-use crate::spec::{ClusterSpec, RuntimeKind, StorageKind};
+use crate::spec::{ClusterSpec, StorageKind};
 
 /// One phase boundary recorded by [`NodeCtx::mark_phase`]: the cumulative
 /// clock and traffic at the stamp (deltas between consecutive marks give
@@ -89,7 +77,7 @@ pub struct NodeCtx {
     /// Recording only reads clocks — it never advances them — so traced
     /// and untraced runs are observationally identical.
     pub obs: Obs,
-    endpoint: Endpoint,
+    pub(crate) endpoint: Endpoint,
     phases: Vec<PhaseMark>,
     /// Cumulative message-wait seconds incurred inside collective spans
     /// (the "idle straggler" share of wait time).
@@ -326,8 +314,8 @@ impl NodeCtx {
         out
     }
 
-    /// Labels this node's current sub-communicator for the event
-    /// runtime's deadlock report (`None` = global communicator). Pure
+    /// Labels this node's current sub-communicator for the runtime's
+    /// deadlock report (`None` = global communicator). Pure
     /// diagnostics — never affects timing or routing.
     pub fn set_comm_group(&mut self, label: Option<&str>) {
         self.endpoint.set_group_label(label);
@@ -519,7 +507,7 @@ impl<T> ClusterReport<T> {
 }
 
 /// Builds one node's context: disk, jitter, charger, RNG, tracer and
-/// endpoint, identically for both runtimes.
+/// endpoint.
 fn make_node_ctx(
     spec: &ClusterSpec,
     rank: usize,
@@ -566,10 +554,8 @@ fn make_node_ctx(
     }
 }
 
-/// Runs the node function and the shared finish path — the final I/O
-/// sync + barrier, counter folding and outcome assembly. Both runtimes
-/// drive this same future, so a node's observable behavior cannot depend
-/// on which scheduler ran it.
+/// Runs the node function and the finish path — the final I/O sync +
+/// barrier, counter folding and outcome assembly.
 async fn drive<T, F>(ctx: &mut NodeCtx, f: &F, perf: u64) -> NodeOutcome<T>
 where
     F: AsyncFn(&mut NodeCtx) -> T,
@@ -662,8 +648,10 @@ fn assemble_report<T>(outcomes: Vec<Option<NodeOutcome<T>>>) -> ClusterReport<T>
 }
 
 /// Runs `f` on every node of the cluster and reports outcomes plus the
-/// makespan. The scheduler — thread-per-node or single-threaded
-/// discrete-event — is chosen by [`ClusterSpec::runtime`].
+/// makespan. All nodes run as cooperatively-scheduled tasks on the
+/// calling thread: the runnable task with the smallest (virtual clock,
+/// rank) key is resumed next; a blocking receive with an empty mailbox
+/// parks its task, and the matching delivery wakes it.
 ///
 /// The runtime adds a final I/O sync + barrier after `f` returns so that
 /// every node's clock covers the entire computation; the makespan is the
@@ -687,72 +675,14 @@ fn assemble_report<T>(outcomes: Vec<Option<NodeOutcome<T>>>) -> ClusterReport<T>
 /// ```
 ///
 /// # Panics
-/// Propagates panics from node functions.
+/// Propagates panics from node functions, and panics with a per-node wait
+/// report as soon as every live node is parked (deadlock).
 pub fn run_cluster<T, F>(spec: &ClusterSpec, f: F) -> ClusterReport<T>
 where
-    T: Send,
-    F: AsyncFn(&mut NodeCtx) -> T + Send + Sync,
-{
-    match spec.runtime {
-        RuntimeKind::Threads => run_threads(spec, &f),
-        RuntimeKind::Events => run_events(spec, &f),
-    }
-}
-
-/// The thread runtime: one OS thread per node. Each node future is
-/// completed by a single poll — the comm layer blocks the thread
-/// internally, so `Pending` never surfaces.
-fn run_threads<T, F>(spec: &ClusterSpec, f: &F) -> ClusterReport<T>
-where
-    T: Send,
-    F: AsyncFn(&mut NodeCtx) -> T + Send + Sync,
+    F: AsyncFn(&mut NodeCtx) -> T,
 {
     let p = spec.p();
-    let endpoints = Endpoint::mesh(p, spec.net.clone());
-    let scratches = make_scratches(spec);
-
-    let mut outcomes: Vec<Option<NodeOutcome<T>>> = Vec::with_capacity(p);
-    for _ in 0..p {
-        outcomes.push(None);
-    }
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(rank, endpoint)| {
-                let scratch = &scratches[rank];
-                s.spawn(move || {
-                    let mut ctx = make_node_ctx(spec, rank, endpoint, scratch.as_ref());
-                    // Install the handle in TLS so library code below this
-                    // frame (the external sorters) can record spans and
-                    // metrics without threading the handle through.
-                    let _obs_guard = obs::install(ctx.obs.clone());
-                    events::block_on(drive(&mut ctx, f, spec.perf[rank]))
-                })
-            })
-            .collect();
-        for (slot, h) in outcomes.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("node thread panicked"));
-        }
-    });
-
-    assemble_report(outcomes)
-}
-
-/// The event runtime: all nodes as cooperatively-scheduled tasks on one
-/// thread. The runnable task with the smallest (virtual clock, rank) key
-/// is resumed next; a blocking receive with an empty mailbox parks its
-/// task, and the matching delivery wakes it. Deadlock (all live tasks
-/// parked) panics immediately with a per-node wait report instead of
-/// relying on the thread transport's 60 s timeout.
-fn run_events<'a, T, F>(spec: &'a ClusterSpec, f: &'a F) -> ClusterReport<T>
-where
-    T: Send + 'a,
-    F: AsyncFn(&mut NodeCtx) -> T + Send + Sync,
-{
-    let p = spec.p();
-    let (endpoints, fabric) = Endpoint::event_mesh(p, spec.net.clone());
+    let (endpoints, fabric) = Endpoint::wire(p, spec.net.clone());
     let scratches = make_scratches(spec);
 
     /// One node task: the boxed context and the future driving it.
@@ -767,7 +697,7 @@ where
         obs: Obs,
     }
 
-    let mut tasks: Vec<Task<'a, T>> = Vec::with_capacity(p);
+    let mut tasks: Vec<Task<'_, T>> = Vec::with_capacity(p);
     for (rank, endpoint) in endpoints.into_iter().enumerate() {
         let mut ctx = Box::new(make_node_ctx(
             spec,
@@ -780,8 +710,8 @@ where
         // SAFETY: the box pins the context to a stable heap address for
         // the task's lifetime, and the future (dropped first — see the
         // field order on `Task`) is the only code that touches it.
-        let fut: Pin<Box<dyn Future<Output = NodeOutcome<T>> + 'a>> =
-            Box::pin(drive(unsafe { &mut *ctx_ptr }, f, spec.perf[rank]));
+        let fut: Pin<Box<dyn Future<Output = NodeOutcome<T>> + '_>> =
+            Box::pin(drive(unsafe { &mut *ctx_ptr }, &f, spec.perf[rank]));
         tasks.push(Task {
             fut: Some(fut),
             _ctx: ctx,
@@ -794,7 +724,7 @@ where
     let mut remaining = p;
     while remaining > 0 {
         let rank = {
-            let fab = fabric.lock().expect("fabric lock");
+            let fab = fabric.borrow();
             match fab.next_runnable() {
                 Some(rank) => rank,
                 None => {
@@ -823,13 +753,13 @@ where
             Poll::Ready(outcome) => {
                 task.fut = None;
                 outcomes[rank] = Some(outcome);
-                fabric.lock().expect("fabric lock").mark_done(rank);
+                fabric.borrow_mut().mark_done(rank);
                 remaining -= 1;
             }
             Poll::Pending => {
                 // The only legal yield is a parked receive; anything else
                 // could never be woken.
-                fabric.lock().expect("fabric lock").assert_parked(rank);
+                fabric.borrow_mut().assert_parked(rank);
             }
         }
     }
@@ -947,16 +877,16 @@ mod tests {
     }
 
     #[test]
-    fn event_runtime_matches_threads_bitwise() {
-        // The same jittered compute + message + barrier workload must
-        // produce bit-identical clocks, traffic and values under both
-        // schedulers: charges happen in per-node program order either
-        // way, and arrival merges are commutative maxima.
-        let run = |runtime: RuntimeKind| {
+    fn repeated_runs_are_bit_identical() {
+        // The same jittered compute + message + barrier workload run twice
+        // must produce bit-identical clocks, traffic and values: the
+        // schedule is a pure function of virtual time, charges happen in
+        // per-node program order, and arrival merges are commutative
+        // maxima.
+        let run = || {
             let spec = ClusterSpec::new(vec![1, 2, 4])
                 .with_jitter(0.05)
-                .with_seed(11)
-                .with_runtime(runtime);
+                .with_seed(11);
             run_cluster(&spec, async |ctx| {
                 ctx.charger
                     .compute(Work::comparisons(100_000 * (ctx.rank as u64 + 1)), || ());
@@ -973,10 +903,10 @@ mod tests {
                 ctx.charger.now().as_secs()
             })
         };
-        let threads = run(RuntimeKind::Threads);
-        let events = run(RuntimeKind::Events);
-        assert_eq!(threads.makespan, events.makespan);
-        for (a, b) in threads.nodes.iter().zip(&events.nodes) {
+        let first = run();
+        let second = run();
+        assert_eq!(first.makespan, second.makespan);
+        for (a, b) in first.nodes.iter().zip(&second.nodes) {
             assert_eq!(a.value, b.value);
             assert_eq!(a.finish, b.finish);
             assert_eq!(a.cpu_time, b.cpu_time);
@@ -991,10 +921,10 @@ mod tests {
     }
 
     #[test]
-    fn event_runtime_scales_to_many_nodes() {
-        // 64 nodes in one process: a full barrier + ring exchange. The
-        // thread runtime would need 64 OS threads for this.
-        let spec = ClusterSpec::homogeneous(64).with_runtime(RuntimeKind::Events);
+    fn scales_to_many_nodes() {
+        // 64 nodes in one process, all on the calling thread: a full
+        // barrier + ring exchange.
+        let spec = ClusterSpec::homogeneous(64);
         let report = run_cluster(&spec, async |ctx| {
             let next = (ctx.rank + 1) % ctx.p;
             let prev = (ctx.rank + ctx.p - 1) % ctx.p;
@@ -1011,11 +941,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "deadlocked")]
-    fn event_runtime_detects_deadlock_immediately() {
+    fn detects_deadlock_immediately() {
         // Both nodes receive from each other without anyone sending: the
-        // event scheduler sees every live task parked and panics at once
-        // (the thread runtime would sit in its 60 s timeout).
-        let spec = ClusterSpec::homogeneous(2).with_runtime(RuntimeKind::Events);
+        // scheduler sees every live task parked and panics at once.
+        let spec = ClusterSpec::homogeneous(2);
         let _ = run_cluster(&spec, async |ctx| {
             let peer = 1 - ctx.rank;
             let _ = ctx.recv_from(peer, Tag::user(1)).await;
@@ -1024,14 +953,12 @@ mod tests {
 
     #[test]
     fn tls_recorder_follows_the_task_not_the_thread() {
-        // Regression for the per-task recorder: all event-runtime nodes
-        // share one executor thread, and each barrier parks the task and
+        // Regression for the per-task recorder: all nodes share one
+        // executor thread, and each barrier parks the task and
         // hands the thread to the other node. Library code that records
         // through the TLS handle (obs::counter_add) must still attribute
         // to the node whose task is running.
-        let spec = ClusterSpec::homogeneous(2)
-            .with_tracing(true)
-            .with_runtime(RuntimeKind::Events);
+        let spec = ClusterSpec::homogeneous(2).with_tracing(true);
         let report = run_cluster(&spec, async |ctx| {
             for _ in 0..3 {
                 if ctx.rank == 0 {

@@ -14,39 +14,16 @@ pub enum StorageKind {
     Files,
 }
 
-/// Which scheduler executes the node functions.
+/// The cluster scheduler. There is only one — the single-threaded
+/// discrete-event executor behind [`crate::run_cluster`] — so this type
+/// carries no choice. It exists only because the `perfbench/` benchmark
+/// crate still names `RuntimeKind::Events`; it goes in the next change to
+/// the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeKind {
-    /// One OS thread per node; blocking receives park the thread on its
-    /// mpsc channel. The original runtime — wall-clock cost grows with
-    /// `p`, so it is practical up to a few dozen nodes.
+    /// Every node is a cooperatively-scheduled task on one thread.
     #[default]
-    Threads,
-    /// A single-threaded discrete-event scheduler: every node is a
-    /// cooperatively-scheduled task, and blocking receives park the task
-    /// until the matching message is delivered. Scales to hundreds of
-    /// nodes in one process and makes scheduling (and therefore the
-    /// streamed exchange's arrival order) fully deterministic.
     Events,
-}
-
-impl RuntimeKind {
-    /// Parses a CLI spelling (`threads` | `events`).
-    pub fn parse(s: &str) -> Option<RuntimeKind> {
-        match s {
-            "threads" => Some(RuntimeKind::Threads),
-            "events" => Some(RuntimeKind::Events),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeKind::Threads => "threads",
-            RuntimeKind::Events => "events",
-        }
-    }
 }
 
 /// How compute sections are converted to virtual time.
@@ -56,7 +33,10 @@ pub enum TimePolicy {
     /// (up to the seeded jitter); the default for every table reproduction.
     Modeled,
     /// Empirical: real elapsed wall time of the section × node slowdown.
-    /// Grounded but host-dependent; offered for end-to-end demos.
+    /// Grounded but host-dependent; offered for end-to-end demos. Nodes
+    /// run one at a time on the runtime's single thread, so a measured
+    /// section never competes with another node's section for host cores;
+    /// worker threads inside the section still run in parallel.
     Measured,
 }
 
@@ -87,14 +67,10 @@ pub struct ClusterSpec {
     pub jitter_sigma: f64,
     /// Compute-time policy.
     pub time_policy: TimePolicy,
-    /// Whether node threads record phase spans and metrics (`obs` crate).
+    /// Whether nodes record phase spans and metrics (`obs` crate).
     /// Off by default: the disabled tracer is a no-op handle, and traced
     /// runs are observationally identical to untraced ones.
     pub tracing: bool,
-    /// Which scheduler runs the node functions. Thread-per-node by
-    /// default; the event runtime produces bit-identical virtual clocks
-    /// on every blocking exchange path and scales to hundreds of nodes.
-    pub runtime: RuntimeKind,
 }
 
 impl ClusterSpec {
@@ -120,7 +96,6 @@ impl ClusterSpec {
             jitter_sigma: 0.0,
             time_policy: TimePolicy::Modeled,
             tracing: false,
-            runtime: RuntimeKind::default(),
         }
     }
 
@@ -204,11 +179,11 @@ impl ClusterSpec {
         self
     }
 
-    /// Selects the runtime that executes the node functions (builder
-    /// style).
+    /// Does nothing: there is one runtime. Kept only because the
+    /// `perfbench/` benchmark crate still calls it; it goes in the next
+    /// change to the benchmark.
     #[must_use]
-    pub fn with_runtime(mut self, runtime: RuntimeKind) -> Self {
-        self.runtime = runtime;
+    pub fn with_runtime(self, _: RuntimeKind) -> Self {
         self
     }
 }
@@ -242,24 +217,13 @@ mod tests {
             .with_jitter(0.05)
             .with_storage(StorageKind::Files)
             .with_time_policy(TimePolicy::Measured)
-            .with_tracing(true)
-            .with_runtime(RuntimeKind::Events);
+            .with_tracing(true);
         assert_eq!(s.net.name, NetworkModel::myrinet().name);
         assert_eq!(s.block_bytes, 4096);
         assert_eq!(s.seed, 99);
         assert_eq!(s.storage, StorageKind::Files);
         assert_eq!(s.time_policy, TimePolicy::Measured);
         assert!(s.tracing);
-        assert_eq!(s.runtime, RuntimeKind::Events);
-    }
-
-    #[test]
-    fn runtime_kind_parses_cli_spellings() {
-        assert_eq!(RuntimeKind::parse("threads"), Some(RuntimeKind::Threads));
-        assert_eq!(RuntimeKind::parse("events"), Some(RuntimeKind::Events));
-        assert_eq!(RuntimeKind::parse("fibers"), None);
-        assert_eq!(RuntimeKind::default(), RuntimeKind::Threads);
-        assert_eq!(RuntimeKind::Events.name(), "events");
     }
 
     #[test]

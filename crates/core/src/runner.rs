@@ -90,9 +90,9 @@ pub struct TrialConfig {
     /// Off by default; a traced trial is observationally identical to an
     /// untraced one (same output, same I/O counters, same virtual times).
     pub trace: bool,
-    /// Which cluster scheduler runs the trial: thread-per-node (default)
-    /// or the single-threaded event runtime. Blocking exchange variants
-    /// produce bit-identical virtual clocks either way.
+    /// Carries no choice: every trial runs on the one cluster runtime.
+    /// Kept only because the `perfbench/` benchmark crate still assigns
+    /// it; it goes in the next change to the benchmark.
     pub runtime: RuntimeKind,
 }
 
@@ -186,8 +186,7 @@ pub fn run_trial(cfg: &TrialConfig) -> PdmResult<TrialResult> {
         .with_disk_model(cfg.disk_model.clone())
         .with_seed(cfg.seed)
         .with_jitter(cfg.jitter)
-        .with_tracing(cfg.trace)
-        .with_runtime(cfg.runtime);
+        .with_tracing(cfg.trace);
 
     let xcfg = ExternalPsrsConfig {
         perf: cfg.declared.clone(),

@@ -184,9 +184,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Any perf vector, message size and distribution: the streamed
-        // exchange-merge must terminate (the runtime's deadlock watchdog
-        // backs this), produce the globally sorted permutation, and never
-        // buffer more than `p · CHUNK_CREDITS · msg_records` records.
+        // exchange-merge must terminate (a deadlock panics at once with a
+        // per-node wait report), produce the globally sorted permutation,
+        // and never buffer more than `p · CHUNK_CREDITS · msg_records`
+        // records.
         let bench = Benchmark::ALL[bench_ix];
         let p = perf.p();
         let n = perf.padded_size(n_per_node * p as u64);

@@ -30,11 +30,12 @@
 //! # Thread-local use
 //!
 //! The cluster runtime [`install`]s each node's handle in thread-local
-//! storage before running the node function, so deep library code (the
-//! external sorters) can open [`scoped`] spans and bump [`counter_add`] /
-//! [`hist_record`] metrics without threading a handle through every
-//! signature. Threads without an installed handle (e.g. pipelined sort
-//! workers) observe a disabled handle and pay a TLS read per call.
+//! storage around every poll of that node's task, so deep library code
+//! (the external sorters) can open [`scoped`] spans and bump
+//! [`counter_add`] / [`hist_record`] metrics without threading a handle
+//! through every signature. A thread without an installed handle (e.g. a
+//! pipelined sort worker) observes a disabled handle and pays a TLS read
+//! per call.
 
 pub mod chrome;
 pub mod critpath;

@@ -11,7 +11,9 @@
 //! example shows the alternative `Measured` policy, where each compute
 //! section charges its real duration × the node's slowdown. The printed
 //! ratio demonstrates that the two policies agree on *shape*: declaring the
-//! true perf vector still wins on loaded hardware.
+//! true perf vector still wins on loaded hardware. The cluster runtime runs
+//! one node at a time on one thread, so no two nodes' measured sections
+//! compete for host cores.
 
 use cluster::{ClusterSpec, StorageKind, TimePolicy};
 use hetsort::{psrs_external, ExternalPsrsConfig, PerfVector};

@@ -488,29 +488,20 @@ def check_pipeline(doc):
 
 def check_scale(doc):
     P_LADDER = [4, 16, 64, 256, 1024]
-    RUNTIMES = {"threads", "events"}
     WORKLOADS = {"ring", "psrs"}
     SPLITTERS = {"flat", "grouped"}
-    BASE_KEYS = {"workload", "p", "runtime", "size", "makespan_sim_secs",
-                 "wall_secs", "sim_per_wall"}
+    BASE_KEYS = {"workload", "p", "size", "makespan_sim_secs", "wall_secs",
+                 "sim_per_wall"}
     SHARE_KEYS = {"splitter_share", "alltoall_share"}
     SPLIT_KEYS = {"split_sample_gather_secs", "split_leader_sort_secs",
                   "split_boundary_exchange_secs"}
-    HEADLINE_GATE = 10.0
     FLAT_SHARE_FLOOR = 0.60
     GROUPED_SHARE_CEIL = 0.25
     if doc.get("p_ladder") != P_LADDER:
         fail(f"p_ladder must be {P_LADDER}, got {doc.get('p_ladder')!r}")
-    threads_max = doc.get("threads_max_p")
-    if threads_max not in P_LADDER:
-        fail(f"threads_max_p must be on the ladder, got {threads_max!r}")
     flat_max = doc.get("flat_max_p")
     if flat_max not in P_LADDER:
         fail(f"flat_max_p must be on the ladder, got {flat_max!r}")
-    headline_p = doc.get("headline_p")
-    if headline_p not in P_LADDER or headline_p > threads_max:
-        fail(f"headline_p {headline_p!r} must be a ladder width both "
-             "runtimes cover")
     if not isinstance(doc.get("ring_rounds"), int) or doc["ring_rounds"] <= 0:
         fail("ring_rounds must be a positive integer")
     if not isinstance(doc.get("n"), int) or doc["n"] <= 0:
@@ -521,95 +512,61 @@ def check_scale(doc):
         fail("rows must be a non-empty array")
     seen = {}
     for row in rows:
-        workload, p, runtime = row.get("workload"), row.get("p"), \
-            row.get("runtime")
+        workload, p = row.get("workload"), row.get("p")
         if workload not in WORKLOADS:
             fail(f"unknown workload {workload!r}")
         if p not in P_LADDER:
             fail(f"unknown p {p!r}")
-        if runtime not in RUNTIMES:
-            fail(f"unknown runtime {runtime!r}")
         splitter = row.get("splitter")
         if workload == "psrs":
             if splitter not in SPLITTERS:
-                fail(f"(psrs, {p}, {runtime}): splitter must be one of "
+                fail(f"(psrs, {p}): splitter must be one of "
                      f"{sorted(SPLITTERS)}, got {splitter!r}")
             want = BASE_KEYS | {"splitter"} | SHARE_KEYS
             if splitter == "grouped":
                 want = want | SPLIT_KEYS
         else:
             if splitter is not None:
-                fail(f"(ring, {p}, {runtime}): ring rows carry no splitter")
+                fail(f"(ring, {p}): ring rows carry no splitter")
             want = BASE_KEYS
         if set(row) != want:
-            fail(f"({workload}, {p}, {runtime}): row keys {sorted(row)} != "
+            fail(f"({workload}, {p}): row keys {sorted(row)} != "
                  f"expected {sorted(want)}")
-        if runtime == "threads" and p > threads_max:
-            fail(f"({workload}, {p}): thread runtime swept past "
-                 f"threads_max_p {threads_max}")
         if splitter == "flat" and p > flat_max:
             fail(f"(psrs, {p}): flat splitter swept past flat_max_p "
                  f"{flat_max}")
-        key = (workload, p, runtime, splitter)
+        key = (workload, p, splitter)
         if key in seen:
             fail(f"duplicate row {key}")
         seen[key] = row
         for k in ("makespan_sim_secs", "wall_secs", "sim_per_wall"):
             if not isinstance(row[k], (int, float)) or row[k] <= 0:
-                fail(f"({workload}, {p}, {runtime}): {k} must be positive")
+                fail(f"({workload}, {p}): {k} must be positive")
         if not isinstance(row["size"], int) or row["size"] <= 0:
-            fail(f"({workload}, {p}, {runtime}): size must be a positive "
-                 "integer")
+            fail(f"({workload}, {p}): size must be a positive integer")
         if workload == "psrs":
             for k in SHARE_KEYS:
                 if not isinstance(row[k], (int, float)) \
                         or not 0.0 <= row[k] <= 1.0:
-                    fail(f"(psrs, {p}, {runtime}): {k} must be in [0, 1]")
+                    fail(f"(psrs, {p}): {k} must be in [0, 1]")
         if splitter == "grouped":
             for k in SPLIT_KEYS:
                 if not isinstance(row[k], (int, float)) or row[k] < 0.0:
-                    fail(f"(psrs, {p}, {runtime}): {k} must be >= 0")
+                    fail(f"(psrs, {p}): {k} must be >= 0")
 
     for p in P_LADDER:
-        if ("ring", p, "events", None) not in seen:
-            fail(f"event runtime must cover p={p} on 'ring' "
+        if ("ring", p, None) not in seen:
+            fail(f"ring stress must cover p={p} "
                  "(the full ladder including 1024)")
-        if ("psrs", p, "events", "grouped") not in seen:
+        if ("psrs", p, "grouped") not in seen:
             fail(f"grouped splitter must cover p={p} on 'psrs' "
                  "(the full ladder including 1024)")
-        if p <= flat_max and ("psrs", p, "events", "flat") not in seen:
+        if p <= flat_max and ("psrs", p, "flat") not in seen:
             fail(f"flat splitter must cover p={p} on 'psrs' up to "
                  f"flat_max_p {flat_max}")
-        variants = [("ring", None)] if p > threads_max else \
-            [("ring", None), ("psrs", "flat"), ("psrs", "grouped")]
-        for workload, splitter in variants:
-            if p > threads_max:
-                continue
-            if (workload, p, "threads", splitter) not in seen:
-                fail(f"thread runtime must cover p={p} on {workload!r} "
-                     f"(splitter {splitter!r})")
-            # Blocking exchanges only: both schedulers simulate the exact
-            # same virtual run, so the makespans must agree exactly.
-            t = seen[(workload, p, "threads", splitter)]["makespan_sim_secs"]
-            e = seen[(workload, p, "events", splitter)]["makespan_sim_secs"]
-            if t != e:
-                fail(f"({workload}, {p}, {splitter}): simulated makespan "
-                     f"differs across runtimes ({t} vs {e})")
 
-    headline = doc.get("events_vs_threads_p64")
-    if not isinstance(headline, (int, float)):
-        fail("events_vs_threads_p64 must be a number")
-    derived = seen[("ring", headline_p, "events", None)]["sim_per_wall"] \
-        / seen[("ring", headline_p, "threads", None)]["sim_per_wall"]
-    if abs(derived - headline) > 0.02 * max(derived, headline):
-        fail(f"events_vs_threads_p64 {headline} disagrees with its ring "
-             f"rows {derived:.4f}")
-    if headline < HEADLINE_GATE:
-        fail(f"event runtime must clear {HEADLINE_GATE}x the thread "
-             f"runtime's throughput at p={headline_p}, got {headline}")
-
-    flat256 = seen[("psrs", 256, "events", "flat")]
-    grouped256 = seen[("psrs", 256, "events", "grouped")]
+    flat256 = seen[("psrs", 256, "flat")]
+    grouped256 = seen[("psrs", 256, "grouped")]
     if flat256["splitter_share"] < FLAT_SHARE_FLOOR:
         fail(f"flat splitter share at p=256 should exhibit the O(p^2) "
              f"bottleneck (>= {FLAT_SHARE_FLOOR}), got "
@@ -627,8 +584,7 @@ def check_scale(doc):
     if speedup <= 1.0:
         fail(f"grouped splitter must beat flat at p=256, got {speedup}x")
 
-    print(f"scale ok: {len(rows)} rows, events/threads at p={headline_p} "
-          f"{headline:.1f}x, p=256 splitter share flat "
+    print(f"scale ok: {len(rows)} rows, p=256 splitter share flat "
           f"{flat256['splitter_share']:.3f} -> grouped "
           f"{grouped256['splitter_share']:.3f} ({speedup:.2f}x makespan)")
 

@@ -2,19 +2,18 @@
 //!
 //! The two-level √p-group splitter selection (`hetsort::multilevel`)
 //! must be *observationally equivalent* to the paper's flat root-gather
-//! on every workload distribution, perf vector and cluster scheduler:
-//! the concatenated sorted output is byte-identical (a sorted multiset
-//! is unique), every node's final share stays within the PSRS theorem's
-//! `2·expected + duplicates` bound, and on the blocking staged path the
-//! thread and event runtimes agree bit-for-bit on the virtual clocks.
+//! on every workload distribution and perf vector: the concatenated
+//! sorted output is byte-identical (a sorted multiset is unique), and
+//! every node's final share stays within the PSRS theorem's
+//! `2·expected + duplicates` bound.
 //!
 //! Hand-rolled rather than `proptest`-driven because the offline
-//! workspace carries no dev-dependencies (see `runtime_differential.rs`
+//! workspace carries no dev-dependencies (see `shape_determinism.rs`
 //! for the idiom): the layout property sweep draws node counts from the
 //! simulator's own [`sim::Pcg64`] under a fixed master seed, so a
 //! failure reproduces exactly.
 
-use cluster::{ClusterSpec, RuntimeKind, StorageKind};
+use cluster::{ClusterSpec, StorageKind};
 use hetsort::{
     psrs_external, ExternalPsrsConfig, GroupLayout, LoadBalance, PerfVector, SplitterStrategy,
 };
@@ -28,15 +27,13 @@ fn run(
     bench: Benchmark,
     n: u64,
     splitter: SplitterStrategy,
-    runtime: RuntimeKind,
     streaming: bool,
 ) -> cluster::ClusterReport<Vec<u32>> {
     let layouts = Layout::cluster(&perf.shares(n));
     let spec = ClusterSpec::new(perf.as_slice().to_vec())
         .with_storage(StorageKind::Memory)
         .with_block_bytes(1024)
-        .with_seed(0xD1FF)
-        .with_runtime(runtime);
+        .with_seed(0xD1FF);
     let cfg = ExternalPsrsConfig::new(perf.clone(), 1 << 12)
         .with_tapes(4)
         .with_msg_records(128)
@@ -73,22 +70,8 @@ fn grouped_matches_flat_on_every_distribution() {
     for perf in &perf_vectors() {
         let n = perf.padded_size(1_000 * perf.p() as u64);
         for bench in Benchmark::ALL {
-            let flat = run(
-                perf,
-                bench,
-                n,
-                SplitterStrategy::Flat,
-                RuntimeKind::Threads,
-                false,
-            );
-            let grouped = run(
-                perf,
-                bench,
-                n,
-                SplitterStrategy::grouped(),
-                RuntimeKind::Threads,
-                false,
-            );
+            let flat = run(perf, bench, n, SplitterStrategy::Flat, false);
+            let grouped = run(perf, bench, n, SplitterStrategy::grouped(), false);
             let f = concat(&flat);
             let g = concat(&grouped);
             assert_eq!(f.len() as u64, n, "{bench:?} p={}: lost records", perf.p());
@@ -143,72 +126,14 @@ fn grouped_matches_flat_on_every_distribution() {
 }
 
 #[test]
-fn grouped_agrees_across_runtimes() {
-    // The grouped selection's subset collectives and the tie-broken
-    // partitioning receive at deterministic program points, so on the
-    // blocking staged path the schedulers agree on everything — output,
-    // metered I/O, traffic, and the virtual clocks bit-for-bit.
-    for perf in &perf_vectors() {
-        let n = perf.padded_size(1_000 * perf.p() as u64);
-        for bench in [Benchmark::Uniform, Benchmark::ZipfDuplicates] {
-            let threads = run(
-                perf,
-                bench,
-                n,
-                SplitterStrategy::grouped(),
-                RuntimeKind::Threads,
-                false,
-            );
-            let events = run(
-                perf,
-                bench,
-                n,
-                SplitterStrategy::grouped(),
-                RuntimeKind::Events,
-                false,
-            );
-            for (rank, (a, b)) in threads.nodes.iter().zip(&events.nodes).enumerate() {
-                assert_eq!(a.value, b.value, "{bench:?} node {rank}: output differs");
-                assert_eq!(a.io, b.io, "{bench:?} node {rank}: IoSnapshot differs");
-                assert_eq!(
-                    a.sent_bytes, b.sent_bytes,
-                    "{bench:?} node {rank}: traffic differs"
-                );
-                assert_eq!(a.finish, b.finish, "{bench:?} node {rank}: clock differs");
-            }
-            assert_eq!(
-                threads.makespan,
-                events.makespan,
-                "{bench:?} p={}: makespan differs across runtimes",
-                perf.p()
-            );
-        }
-    }
-}
-
-#[test]
 fn grouped_streamed_exchange_stays_correct() {
     // The streamed exchange-merge path composes with grouped selection:
     // tie-broken pivots drive the pump scan, credits stagger the fan-in.
     for perf in &perf_vectors() {
         let n = perf.padded_size(1_000 * perf.p() as u64);
         for bench in [Benchmark::Uniform, Benchmark::Zero] {
-            let flat = run(
-                perf,
-                bench,
-                n,
-                SplitterStrategy::Flat,
-                RuntimeKind::Events,
-                true,
-            );
-            let grouped = run(
-                perf,
-                bench,
-                n,
-                SplitterStrategy::grouped(),
-                RuntimeKind::Events,
-                true,
-            );
+            let flat = run(perf, bench, n, SplitterStrategy::Flat, true);
+            let grouped = run(perf, bench, n, SplitterStrategy::grouped(), true);
             assert_eq!(
                 concat(&flat),
                 concat(&grouped),

@@ -14,16 +14,13 @@
 //! categories sum to the end-to-end virtual time within 1%, and a what-if
 //! replay that zeroes no category reproduces it exactly.
 //!
-//! One carve-out, **thread runtime only**: the streamed exchange-merge
-//! polls for arrivals, so under the thread-per-node scheduler its *virtual
-//! timing* (not its data flow) is sensitive to real message timing; see
-//! [`Variant::timing_exact`]. Its outputs, I/O counts and traffic are
-//! still required to be bit-identical under tracing. Under the event
-//! runtime the schedule is a pure function of virtual time, so even the
-//! streamed variant must match bit-exactly — no tolerance — and the
-//! blocking variants must agree bit-for-bit *across* the two runtimes.
+//! The cluster schedule is a pure function of virtual time, so every
+//! variant — the streamed exchange-merge included — must match bit-exactly,
+//! with no tolerance.
 
-use cluster::{ClusterReport, ClusterSpec, RuntimeKind, StorageKind};
+use std::sync::OnceLock;
+
+use cluster::{ClusterReport, ClusterSpec, StorageKind};
 use hetsort::{psrs_external, ExternalPsrsConfig, PerfVector};
 use workloads::{generate_to_disk, Benchmark, Layout};
 
@@ -35,18 +32,6 @@ struct Variant {
     fused: bool,
     streaming: bool,
     merge_workers: usize,
-    /// Whether virtual timing is exactly reproducible run-to-run **under
-    /// the thread runtime**. The staged/fused/parmerge paths receive at
-    /// deterministic program points (blocking, selective), so their clocks
-    /// are bit-identical across runs on either scheduler. The streamed
-    /// exchange-merge absorbs messages opportunistically (`try_recv_any`
-    /// polling): its data flow and I/O counts are still deterministic, but
-    /// on the thread runtime the interleaving of send charges and Lamport
-    /// merges — and therefore the makespan — varies with real arrival
-    /// timing, and the tracer's wall-clock overhead perturbs that race.
-    /// The event runtime has no such race: scheduling is a pure function
-    /// of virtual time, so every variant is timing-exact there.
-    timing_exact: bool,
 }
 
 const VARIANTS: [Variant; 4] = [
@@ -55,42 +40,32 @@ const VARIANTS: [Variant; 4] = [
         fused: false,
         streaming: false,
         merge_workers: 1,
-        timing_exact: true,
     },
     Variant {
         name: "fused",
         fused: true,
         streaming: false,
         merge_workers: 1,
-        timing_exact: true,
     },
     Variant {
         name: "streamed",
         fused: false,
         streaming: true,
         merge_workers: 1,
-        timing_exact: false,
     },
     Variant {
         name: "parmerge",
         fused: false,
         streaming: false,
         merge_workers: 4,
-        timing_exact: true,
     },
 ];
-
-/// Tolerance on the streamed variant's makespan drift between runs under
-/// the **thread runtime only**: the race only reassigns jitter draws and
-/// reorders wait merges, so the drift stays within a few percent
-/// (measured ~1%). The event runtime needs no tolerance anywhere.
-const STREAMED_TIMING_TOL: f64 = 0.05;
 
 /// Per-node result: the virtual clock at the end of the sort (before the
 /// verification read of the output file) and the full sorted output.
 type SortOutcome = (f64, Vec<u32>);
 
-fn run(tracing: bool, v: Variant, runtime: RuntimeKind) -> ClusterReport<SortOutcome> {
+fn run(tracing: bool, v: Variant) -> ClusterReport<SortOutcome> {
     let declared = PerfVector::paper_1144();
     let hardware = vec![1u64, 1, 4, 4];
     let n = declared.padded_size(20_000);
@@ -101,8 +76,7 @@ fn run(tracing: bool, v: Variant, runtime: RuntimeKind) -> ClusterReport<SortOut
         .with_block_bytes(1024)
         .with_seed(42)
         .with_jitter(0.03) // non-zero so an extra RNG draw would be visible
-        .with_tracing(tracing)
-        .with_runtime(runtime);
+        .with_tracing(tracing);
     let pipeline = if v.merge_workers > 1 {
         extsort::PipelineConfig::off().with_merge_workers(v.merge_workers)
     } else {
@@ -197,40 +171,10 @@ fn assert_critpath_invariants(report: &ClusterReport<SortOutcome>, variant: &str
     obs::validate(&json).unwrap_or_else(|e| panic!("{variant}: critpath JSON must be valid: {e}"));
 }
 
-#[test]
-fn tracing_is_observationally_invisible() {
-    let staged = VARIANTS[0];
-    let off = run(false, staged, RuntimeKind::Threads);
-    let on = run(true, staged, RuntimeKind::Threads);
-
-    assert_eq!(off.makespan, on.makespan, "makespan changed under tracing");
-    assert_eq!(off.nodes.len(), on.nodes.len());
-    for (a, b) in off.nodes.iter().zip(&on.nodes) {
-        assert_eq!(a.value, b.value, "sorted output differs under tracing");
-        assert_eq!(a.io, b.io, "I/O counters differ under tracing");
-        assert_eq!(a.finish, b.finish, "finish time differs under tracing");
-        assert_eq!(a.sent_bytes, b.sent_bytes, "traffic differs under tracing");
-        assert_eq!(a.cpu_time, b.cpu_time);
-        assert_eq!(a.io_time, b.io_time);
-        assert_eq!(a.wait_time, b.wait_time);
-        assert_eq!(a.phases.len(), b.phases.len());
-        for (pa, pb) in a.phases.iter().zip(&b.phases) {
-            assert_eq!(pa.name, pb.name);
-            assert_eq!(pa.at, pb.at, "phase stamp {} moved under tracing", pa.name);
-        }
-    }
-
-    // The untraced run must carry no observability data at all — spans,
-    // metrics AND the critical-path cost records.
-    for node in &off.nodes {
-        assert!(node.obs.spans.is_empty());
-        assert!(node.obs.metrics.is_empty());
-        assert!(node.obs.phase_costs.is_empty());
-    }
-
-    // The traced run must show all five Algorithm 1 phases per node, and
-    // both exporters must produce valid JSON containing them.
-    let obs = on.cluster_obs();
+/// The staged run's traced report must show all five Algorithm 1 phases
+/// per node, and both exporters must produce valid JSON containing them.
+fn assert_exports_every_phase(report: &ClusterReport<SortOutcome>) {
+    let obs = report.cluster_obs();
     for node in &obs.nodes {
         let names: Vec<&str> = node.phases().map(|s| s.name).collect();
         for phase in PHASES {
@@ -241,8 +185,7 @@ fn tracing_is_observationally_invisible() {
             );
         }
         // Phase spans carry virtual time matching the recorded marks.
-        let virt_end = node.virt_end();
-        assert!(virt_end > 0.0);
+        assert!(node.virt_end() > 0.0);
     }
     let trace = obs::chrome_trace(&obs);
     obs::validate(&trace).expect("chrome trace must be valid JSON");
@@ -252,120 +195,92 @@ fn tracing_is_observationally_invisible() {
         assert!(trace.contains(phase), "trace missing {phase}");
         assert!(metrics.contains(phase), "metrics missing {phase}");
     }
+}
 
-    assert_critpath_invariants(&on, staged.name);
+/// One untraced/traced pair per exchange variant, run once and shared by
+/// the tests below; each test checks one facet of every pair.
+type Pair = (
+    Variant,
+    ClusterReport<SortOutcome>,
+    ClusterReport<SortOutcome>,
+);
+
+fn pairs() -> &'static [Pair] {
+    static PAIRS: OnceLock<Vec<Pair>> = OnceLock::new();
+    PAIRS.get_or_init(|| {
+        VARIANTS
+            .iter()
+            .map(|&v| (v, run(false, v), run(true, v)))
+            .collect()
+    })
 }
 
 #[test]
-fn critpath_recorder_is_invisible_on_every_variant() {
-    // The staged pair is exercised exhaustively above; here every exchange
-    // variant gets the same off/on pairing (outputs, I/O, clocks) plus the
-    // blame-tiling invariants on its traced run.
-    for v in &VARIANTS[1..] {
-        let off = run(false, *v, RuntimeKind::Threads);
-        let on = run(true, *v, RuntimeKind::Threads);
-        if v.timing_exact {
-            assert_eq!(
-                off.makespan, on.makespan,
-                "{}: makespan changed under tracing",
-                v.name
-            );
-        } else {
-            let (a, b) = (off.makespan.as_secs(), on.makespan.as_secs());
-            assert!(
-                (a - b).abs() <= STREAMED_TIMING_TOL * a,
-                "{}: makespan drifted beyond the race tolerance: {a:.6} vs {b:.6}",
-                v.name
-            );
-        }
+fn tracing_is_observationally_invisible() {
+    for (v, off, on) in pairs() {
+        assert_eq!(off.nodes.len(), on.nodes.len());
         for (a, b) in off.nodes.iter().zip(&on.nodes) {
-            // Data flow is deterministic on EVERY variant: the sorted
-            // bytes, the block-I/O counts and the network traffic must be
-            // identical whether or not the profiler is on.
-            assert_eq!(a.value.1, b.value.1, "{}: output differs", v.name);
+            assert_eq!(a.value, b.value, "{}: outcome differs", v.name);
             assert_eq!(a.io, b.io, "{}: I/O counters differ", v.name);
             assert_eq!(a.sent_bytes, b.sent_bytes, "{}: traffic differs", v.name);
-            if v.timing_exact {
-                assert_eq!(a.finish, b.finish, "{}: finish time differs", v.name);
-            }
-            assert!(a.obs.phase_costs.is_empty(), "{}: untraced costs", v.name);
         }
-        assert_critpath_invariants(&on, v.name);
+
+        // The untraced run must carry no observability data at all —
+        // spans, metrics AND the critical-path cost records.
+        for node in &off.nodes {
+            assert!(node.obs.spans.is_empty(), "{}: untraced spans", v.name);
+            assert!(node.obs.metrics.is_empty(), "{}: untraced metrics", v.name);
+            assert!(
+                node.obs.phase_costs.is_empty(),
+                "{}: untraced costs",
+                v.name
+            );
+        }
+
+        if v.name == "staged" {
+            assert_exports_every_phase(on);
+        }
     }
 }
 
 #[test]
 fn event_runtime_is_timing_exact_on_every_variant() {
-    // Under the event scheduler there is no arrival race to tolerate:
-    // every variant — including the streamed exchange-merge that needs
-    // STREAMED_TIMING_TOL on the thread runtime — must be bit-exact
-    // between its traced and untraced runs.
-    for v in &VARIANTS {
-        let off = run(false, *v, RuntimeKind::Events);
-        let on = run(true, *v, RuntimeKind::Events);
+    // The event runtime is the cluster's only scheduler and a pure
+    // function of virtual time: every variant — the streamed
+    // exchange-merge included — must have bit-identical clocks between
+    // its traced and untraced runs.
+    for (v, off, on) in pairs() {
         assert_eq!(
             off.makespan, on.makespan,
-            "{}: makespan changed under tracing on the event runtime",
+            "{}: makespan changed under tracing",
             v.name
         );
         for (a, b) in off.nodes.iter().zip(&on.nodes) {
-            assert_eq!(a.value, b.value, "{}: outcome differs", v.name);
-            assert_eq!(a.io, b.io, "{}: I/O counters differ", v.name);
             assert_eq!(a.finish, b.finish, "{}: finish time differs", v.name);
-            assert_eq!(a.sent_bytes, b.sent_bytes, "{}: traffic differs", v.name);
             assert_eq!(a.cpu_time, b.cpu_time, "{}: cpu time differs", v.name);
+            assert_eq!(a.io_time, b.io_time, "{}: io time differs", v.name);
             assert_eq!(a.wait_time, b.wait_time, "{}: wait time differs", v.name);
+            assert_eq!(a.phases.len(), b.phases.len());
             for (pa, pb) in a.phases.iter().zip(&b.phases) {
+                assert_eq!(pa.name, pb.name);
                 assert_eq!(pa.at, pb.at, "{}: phase stamp {} moved", v.name, pa.name);
             }
         }
-        assert_critpath_invariants(&on, v.name);
     }
 }
 
 #[test]
-fn runtimes_agree_bitwise_on_blocking_variants() {
-    // The virtual-time arithmetic is transport-independent and the
-    // blocking variants receive at deterministic program points, so the
-    // thread and event schedulers must produce bit-identical clocks,
-    // outputs and I/O on staged, fused and parmerge.
-    for v in VARIANTS.iter().filter(|v| v.timing_exact) {
-        let threads = run(false, *v, RuntimeKind::Threads);
-        let events = run(false, *v, RuntimeKind::Events);
-        assert_eq!(
-            threads.makespan, events.makespan,
-            "{}: makespan differs across runtimes",
-            v.name
-        );
-        for (a, b) in threads.nodes.iter().zip(&events.nodes) {
-            assert_eq!(a.value, b.value, "{}: outcome differs", v.name);
-            assert_eq!(a.io, b.io, "{}: I/O counters differ", v.name);
-            assert_eq!(a.finish, b.finish, "{}: finish time differs", v.name);
-            assert_eq!(a.sent_bytes, b.sent_bytes, "{}: traffic differs", v.name);
-            assert_eq!(a.cpu_time, b.cpu_time, "{}: cpu time differs", v.name);
-            assert_eq!(a.wait_time, b.wait_time, "{}: wait time differs", v.name);
+fn critpath_recorder_is_invisible_on_every_variant() {
+    // Every exchange variant's traced run must record a blame attribution
+    // that tiles the run; the untraced run records no cost at all.
+    for (v, off, on) in pairs() {
+        for node in &off.nodes {
+            assert!(
+                node.obs.phase_costs.is_empty(),
+                "{}: untraced costs",
+                v.name
+            );
         }
+        assert_critpath_invariants(on, v.name);
     }
-}
-
-#[test]
-fn runtimes_agree_on_streamed_data_flow() {
-    // The streamed variant's data flow (bytes sorted, blocks moved,
-    // traffic) is scheduler-independent; only its thread-runtime timing
-    // races. So across runtimes: byte-identical outputs and IoSnapshots,
-    // makespans within the documented thread-side tolerance.
-    let streamed = VARIANTS[2];
-    assert!(streamed.streaming && !streamed.timing_exact);
-    let threads = run(false, streamed, RuntimeKind::Threads);
-    let events = run(false, streamed, RuntimeKind::Events);
-    for (a, b) in threads.nodes.iter().zip(&events.nodes) {
-        assert_eq!(a.value.1, b.value.1, "streamed: output differs");
-        assert_eq!(a.io, b.io, "streamed: I/O counters differ");
-        assert_eq!(a.sent_bytes, b.sent_bytes, "streamed: traffic differs");
-    }
-    let (t, e) = (threads.makespan.as_secs(), events.makespan.as_secs());
-    assert!(
-        (t - e).abs() <= STREAMED_TIMING_TOL * t,
-        "streamed: cross-runtime makespan drift beyond tolerance: {t:.6} vs {e:.6}"
-    );
 }
