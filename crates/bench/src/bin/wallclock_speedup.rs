@@ -14,7 +14,9 @@
 //! sorted and its fingerprint must equal the baseline's; with a
 //! total-order record type that makes all outputs byte-identical.
 //!
-//! Emits `BENCH_wallclock.json` in the working directory:
+//! Emits `BENCH_wallclock.json` in the working directory, with a `host`
+//! block giving the core count, `rustc --version` and the git revision of
+//! the working directory (`"unknown"` when either command fails):
 //!
 //! ```sh
 //! cargo run --release -p hetsort-bench --bin wallclock_speedup -- --selftest
@@ -101,6 +103,23 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
+/// The first line `cmd args` prints, or `"unknown"` when it cannot run.
+fn command_output(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(|l| l.trim().to_string()))
+        .filter(|l| !l.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
 fn main() {
     let args = Args::parse();
     let n: u64 = if args.paper {
@@ -112,6 +131,8 @@ fn main() {
     };
     let trials = args.trials.max(1);
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let rustc = command_output("rustc", &["--version"]);
+    let git_rev = command_output("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
     // Out-of-core by 8× so polyphase genuinely merges, but enough for the
     // streaming minimum of two blocks per tape.
     let records_per_block = BLOCK_BYTES / 4;
@@ -189,7 +210,10 @@ fn main() {
          \"mem_records\": {mem_records},\n  \"tapes\": {TAPES},\n  \
          \"block_bytes\": {BLOCK_BYTES},\n  \"sort_workers\": {SORT_WORKERS},\n  \
          \"prefetch_depth\": {PREFETCH_DEPTH},\n  \"trials\": {trials},\n  \
-         \"host\": {{\"nproc\": {nproc}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
+         \"host\": {{\"nproc\": {nproc}, \"rustc\": \"{}\", \"git_rev\": \"{}\"}},\n  \
+         \"rows\": [\n{}\n  ]\n}}\n",
+        json_escape(&rustc),
+        json_escape(&git_rev),
         json_rows.join(",\n")
     );
     std::fs::write("BENCH_wallclock.json", &json).expect("write BENCH_wallclock.json");

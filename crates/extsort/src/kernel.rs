@@ -7,12 +7,19 @@
 //! * [`SortKernel::Comparison`] — `sort_unstable`, priced by the classical
 //!   `n·⌈log₂ n⌉` comparison estimate. The reference path: simplest, and
 //!   what the paper's 2002 Alpha code did.
-//! * [`SortKernel::Radix`] — LSD radix sort on the record's
-//!   order-preserving [`pdm::Record::sort_key`], with an insertion-sort
-//!   cutoff for small chunks and a skip for trivial digit passes. Priced
-//!   by *counted key passes* ([`KernelWork::key_ops`]) instead of
-//!   comparisons — each pass touches every record once with sequential
-//!   access and no branch misprediction, so it is far cheaper per unit.
+//! * [`SortKernel::Radix`] — MSD-first radix sort on the record's
+//!   order-preserving [`pdm::Record::sort_key`]. One OR/AND fold of the
+//!   keys finds the bytes that vary; one stable pass on the top such byte
+//!   scatters the chunk into 256 buckets; buckets above
+//!   [`RADIX_MSD_CUTOFF`] records recurse on the next byte, and smaller
+//!   ones finish with cache-resident LSD passes over their own varying
+//!   bytes. A bucket whose keys are all equal stops. Chunks of at most
+//!   [`RADIX_INSERTION_CUTOFF`] records are insertion-sorted. A chunk of
+//!   at least [`RADIX_PARALLEL_MIN`] records can be sorted on several
+//!   threads ([`sort_chunk_pooled`]); run formation does that for an
+//!   input that fits in one memory load, the only chunk of its sort.
+//!   Priced by *counted key passes* ([`KernelWork::key_ops`]) instead of
+//!   comparisons.
 //! * [`SortKernel::Ips4o`] — in-place parallel-style super-scalar sample
 //!   sort (the sequential core of ips⁴o): branchless classification into
 //!   up to 256 buckets via an implicit splitter search tree, per-bucket
@@ -31,6 +38,8 @@
 //! the comparison path. The differential tests in
 //! `tests/kernel_differential.rs` enforce byte identity across kernels.
 
+use std::sync::Mutex;
+
 use pdm::{BufferPool, Record};
 
 use crate::report::incore_sort_comparisons;
@@ -41,7 +50,7 @@ pub enum SortKernel {
     /// `sort_unstable` on the full record `Ord` — the reference path kept
     /// for differential testing and for the paper-faithful Table 2 pricing.
     Comparison,
-    /// LSD radix sort on `sort_key()` — the default fast path.
+    /// MSD-first radix sort on `sort_key()` — the default fast path.
     #[default]
     Radix,
     /// Branchless in-place sample sort on `sort_key()` — the cache-friendly
@@ -83,8 +92,12 @@ pub struct KernelWork {
     /// Full-record comparisons (comparison kernel, insertion-sorted small
     /// chunks, cleanup of equal-key groups).
     pub comparisons: u64,
-    /// Key-pass record touches: one per record per radix pass (histogram,
-    /// distribution, and cleanup-scan passes alike).
+    /// Key-pass record touches, as the cost model prices an LSD byte-radix
+    /// sort: one histogram pass plus one pass per key byte that not every
+    /// key shares, plus the cleanup scan for non-total keys — each pass
+    /// touching every record once. It does not count the passes the host
+    /// implementation makes (the MSD kernel's fold, recursion and copies),
+    /// so virtual time and wall time stay in separate units.
     pub key_ops: u64,
 }
 
@@ -102,6 +115,24 @@ impl KernelWork {
 /// Below this length the radix kernel insertion-sorts instead: per-digit
 /// histograms over 256 buckets cost more than they save on tiny chunks.
 pub const RADIX_INSERTION_CUTOFF: usize = 64;
+
+/// Buckets above this many records recurse on the next key byte; smaller
+/// ones finish with LSD passes over their remaining bytes. A 2¹⁶-record
+/// `u32` bucket and its scratch range (512 KiB) stay in a 2 MiB L2. On a
+/// 2-vCPU Xeon, cutoffs from 2¹⁵ to 2¹⁸ measured within noise of each other
+/// (medians of 5 interleaved rounds: 2²⁰ uniform `u32` 15.5–19.6 ms, 2²⁵
+/// uniform 771–928 ms, 2²⁵ Zipf on two threads 312–331 ms), while 2¹⁹ was
+/// slower at 2²⁰ (19.8 ms, fastest round 19.4 ms against 13.7–14.2 ms).
+pub const RADIX_MSD_CUTOFF: usize = 1 << 16;
+
+/// Chunks of at least this many records are split across the threads
+/// [`sort_chunk_pooled`] is offered; smaller ones use one. On uniform
+/// `u32` keys (2-vCPU Xeon, medians of 5 interleaved rounds) two threads
+/// against one measured 1.66 against 2.01 ms at 2¹⁷ records, 3.07 against
+/// 3.57 ms at 2¹⁸, 5.9 against 10.3 ms at 2¹⁹ and 11.9 against 24.2 ms at
+/// 2²⁰. At 2¹⁷ the rounds overlapped; from 2¹⁸ on, thread start-up is a
+/// small share of the sort.
+pub const RADIX_PARALLEL_MIN: usize = 1 << 18;
 
 /// Below this length the ips4o kernel insertion-sorts: sampling, tree
 /// building and block bookkeeping dwarf the sort itself on tiny inputs.
@@ -133,16 +164,21 @@ pub const IPS4O_MAX_BUCKETS: usize = 256;
 /// work. The result is byte-identical to `data.sort_unstable()` for every
 /// kernel (total `Ord` ⇒ equal records are bitwise equal).
 pub fn sort_chunk<R: Record>(data: &mut [R], kernel: SortKernel) -> KernelWork {
-    sort_chunk_pooled(data, kernel, None)
+    sort_chunk_pooled(data, kernel, None, 1)
 }
 
-/// [`sort_chunk`] with an optional shared [`BufferPool`]: kernels that
-/// stage through scratch blocks (ips4o) draw them from `pool` instead of
-/// allocating fresh, so repeated chunk sorts recycle the same memory.
+/// [`sort_chunk`] with an optional shared [`BufferPool`] and a thread
+/// count. Kernels that stage through scratch blocks (ips4o) draw them from
+/// `pool` instead of allocating fresh, so repeated chunk sorts recycle the
+/// same memory. The radix kernel sorts a chunk of at least
+/// [`RADIX_PARALLEL_MIN`] records on `threads` threads; the other kernels,
+/// and smaller chunks, use the caller's thread only. Output bytes and the
+/// returned [`KernelWork`] do not depend on `threads`.
 pub fn sort_chunk_pooled<R: Record>(
     data: &mut [R],
     kernel: SortKernel,
     pool: Option<&BufferPool>,
+    threads: usize,
 ) -> KernelWork {
     match kernel {
         SortKernel::Comparison => comparison_sort(data),
@@ -156,7 +192,7 @@ pub fn sort_chunk_pooled<R: Record>(
                     key_ops: 0,
                 }
             } else {
-                radix_sort(data)
+                radix_sort(data, threads)
             }
         }
         SortKernel::Ips4o => {
@@ -204,43 +240,34 @@ fn insertion_sort<R: Record>(data: &mut [R]) -> u64 {
     comparisons
 }
 
-/// LSD radix sort on `sort_key()`, 8-bit digits, all 8 histograms built in
-/// one read pass, trivial digit passes (every key sharing one digit value)
-/// skipped. Stable; finished by a full-`Ord` cleanup of equal-key groups
-/// when the key is not a total order.
-fn radix_sort<R: Record>(data: &mut [R]) -> KernelWork {
+/// Radix sort on `sort_key()`, 8-bit digits, most significant first. One
+/// OR/AND fold finds the bytes in which keys differ; a stable MSD pass on
+/// the top such byte scatters into the one n-record scratch; buckets above
+/// [`RADIX_MSD_CUTOFF`] recurse on the next byte, smaller ones finish with
+/// cache-resident LSD passes ([`lsd_sort`]). Finished by a full-`Ord`
+/// cleanup of equal-key groups when the key is not a total order.
+///
+/// The tally is the cost model's LSD price (see [`KernelWork::key_ops`]),
+/// computed from the fold, so it does not depend on `threads`.
+fn radix_sort<R: Record>(data: &mut [R], threads: usize) -> KernelWork {
     let n = data.len();
-    let mut hist = [[0usize; 256]; 8];
-    for r in data.iter() {
-        let k = r.sort_key();
-        for (d, h) in hist.iter_mut().enumerate() {
-            h[(k >> (8 * d)) as u8 as usize] += 1;
-        }
-    }
-    let mut key_ops = n as u64; // the histogram pass
-
-    let mut scratch: Vec<R> = data.to_vec();
-    let mut in_data = true;
-    for (d, h) in hist.iter().enumerate() {
-        if h.contains(&n) {
-            continue; // every key shares this digit: pass is a no-op
-        }
-        let mut offs = [0usize; 256];
-        let mut sum = 0usize;
-        for (o, &c) in offs.iter_mut().zip(h.iter()) {
-            *o = sum;
-            sum += c;
-        }
-        if in_data {
-            distribute(data, &mut scratch, d, &mut offs);
-        } else {
-            distribute(&scratch, data, d, &mut offs);
-        }
-        in_data = !in_data;
-        key_ops += n as u64;
-    }
-    if !in_data {
-        data.copy_from_slice(&scratch);
+    let threads = if n >= RADIX_PARALLEL_MIN {
+        threads.max(1)
+    } else {
+        1
+    };
+    let part = n.div_ceil(threads).max(1);
+    let (or, and) = par_each(data.chunks(part).collect(), key_fold)
+        .into_iter()
+        .fold((0u64, !0u64), |(o, a), (po, pa)| (o | po, a & pa));
+    let spread = or & !and;
+    let varying_bytes = (0..8).filter(|d| (spread >> (8 * d)) as u8 != 0).count();
+    let mut key_ops = n as u64 * (1 + varying_bytes as u64);
+    if spread != 0 && threads > 1 {
+        parallel_msd_sort(data, spread, threads);
+    } else if spread != 0 {
+        let mut scratch: Vec<R> = data.to_vec();
+        msd_sort(data, &mut scratch, spread, true, &mut [[0; 256]; 8]);
     }
 
     let mut comparisons = 0u64;
@@ -266,6 +293,249 @@ fn radix_sort<R: Record>(data: &mut [R]) -> KernelWork {
         comparisons,
         key_ops,
     }
+}
+
+/// The bits in which at least two keys of `data` differ: set in some key
+/// (OR-fold) and clear in some key (AND-fold). Zero when all keys are
+/// equal, and for no keys. A byte of the key varies within `data` exactly
+/// when its byte of the spread is non-zero.
+fn key_spread<R: Record>(data: &[R]) -> u64 {
+    let (or, and) = key_fold(data);
+    or & !and
+}
+
+fn key_fold<R: Record>(data: &[R]) -> (u64, u64) {
+    data.iter().fold((0u64, !0u64), |(or, and), r| {
+        let k = r.sort_key();
+        (or | k, and & k)
+    })
+}
+
+/// Index of the most significant non-zero byte of `mask` (non-zero).
+fn top_byte(mask: u64) -> usize {
+    (63 - mask.leading_zeros() as usize) / 8
+}
+
+fn byte_histogram<R: Record>(data: &[R], digit: usize) -> [usize; 256] {
+    let mut h = [0usize; 256];
+    for r in data {
+        h[(r.sort_key() >> (8 * digit)) as u8 as usize] += 1;
+    }
+    h
+}
+
+/// Exclusive prefix sums: where each bucket starts.
+fn bucket_starts(h: &[usize; 256]) -> [usize; 256] {
+    let mut offs = [0usize; 256];
+    let mut sum = 0usize;
+    for (o, &c) in offs.iter_mut().zip(h) {
+        *o = sum;
+        sum += c;
+    }
+    offs
+}
+
+/// Sorts `a` on the key bytes set in `spread` (the bits that vary within
+/// `a`, see [`key_spread`]), top byte first, with `b` (same length) as
+/// scratch. The sorted records end in `a` if `into_a`, else in `b`.
+fn msd_sort<R: Record>(
+    a: &mut [R],
+    b: &mut [R],
+    spread: u64,
+    into_a: bool,
+    hist: &mut [[usize; 256]; 8],
+) {
+    if spread == 0 {
+        // All keys equal: nothing to order.
+        if !into_a {
+            b.copy_from_slice(a);
+        }
+        return;
+    }
+    if a.len() <= RADIX_MSD_CUTOFF {
+        return lsd_sort(a, b, spread, into_a, hist);
+    }
+    let d = top_byte(spread);
+    let h = byte_histogram(a, d);
+    distribute(a, b, d, &mut bucket_starts(&h));
+    // Each bucket now sits in `b`; its range of `a` is free scratch.
+    let (mut rest_a, mut rest_b) = (a, b);
+    for &c in &h {
+        let (bucket_a, tail_a) = rest_a.split_at_mut(c);
+        let (bucket_b, tail_b) = rest_b.split_at_mut(c);
+        (rest_a, rest_b) = (tail_a, tail_b);
+        msd_sort(bucket_b, bucket_a, key_spread(bucket_b), !into_a, hist);
+    }
+}
+
+/// The cache-resident base case of [`msd_sort`]: one LSD pass per byte of
+/// `spread` (every one of them varies), all histograms built in one read
+/// pass.
+fn lsd_sort<R: Record>(
+    a: &mut [R],
+    b: &mut [R],
+    spread: u64,
+    into_a: bool,
+    hist: &mut [[usize; 256]; 8],
+) {
+    let mut in_a = true;
+    if a.len() <= RADIX_INSERTION_CUTOFF {
+        // Bytes outside `spread` are shared, so the whole key orders `a`.
+        a.sort_unstable_by_key(|r| r.sort_key());
+    } else {
+        let top = top_byte(spread) + 1;
+        for h in &mut hist[..top] {
+            *h = [0; 256];
+        }
+        // Unrolled per digit count: a loop over a runtime digit list
+        // measured twice as slow.
+        match top {
+            1 => count_digits::<R, 1>(a, hist),
+            2 => count_digits::<R, 2>(a, hist),
+            3 => count_digits::<R, 3>(a, hist),
+            4 => count_digits::<R, 4>(a, hist),
+            5 => count_digits::<R, 5>(a, hist),
+            6 => count_digits::<R, 6>(a, hist),
+            7 => count_digits::<R, 7>(a, hist),
+            _ => count_digits::<R, 8>(a, hist),
+        }
+        for d in (0..top).filter(|d| (spread >> (8 * d)) as u8 != 0) {
+            let mut offs = bucket_starts(&hist[d]);
+            if in_a {
+                distribute(a, b, d, &mut offs);
+            } else {
+                distribute(b, a, d, &mut offs);
+            }
+            in_a = !in_a;
+        }
+    }
+    match (in_a, into_a) {
+        (true, false) => b.copy_from_slice(a),
+        (false, true) => a.copy_from_slice(b),
+        _ => {}
+    }
+}
+
+/// Histograms of the low `D` key bytes of `a`, added into `hist[..D]`.
+fn count_digits<R: Record, const D: usize>(a: &[R], hist: &mut [[usize; 256]; 8]) {
+    for r in a {
+        let k = r.sort_key();
+        for (d, h) in hist[..D].iter_mut().enumerate() {
+            h[(k >> (8 * d)) as u8 as usize] += 1;
+        }
+    }
+}
+
+/// [`msd_sort`] of the top byte of `spread` on `threads` threads, in three
+/// steps. Each thread histograms its own contiguous part of `data`. Each
+/// thread then scatters its part into its own piece of every bucket's range
+/// of the scratch, so a bucket's pieces come out contiguous and in input
+/// order. Finally the buckets are sorted largest first, each from its
+/// scratch range into its final range of `data`.
+///
+/// The scratch is one buffer per group of contiguous buckets holding about
+/// `n / threads` records, filled on its own thread: the groups total `n`
+/// records, and the page faults of a fresh buffer run in parallel.
+fn parallel_msd_sort<R: Record>(data: &mut [R], spread: u64, threads: usize) {
+    let n = data.len();
+    let d = top_byte(spread);
+    let part = n.div_ceil(threads);
+
+    // 1. Histogram each part.
+    let counts = par_each(data.chunks(part).collect(), |p: &[R]| byte_histogram(p, d));
+    let mut sizes = [0usize; 256];
+    for c in &counts {
+        for (s, &x) in sizes.iter_mut().zip(c) {
+            *s += x;
+        }
+    }
+    // Groups of contiguous buckets, closed where the running total crosses
+    // the next multiple of n / threads.
+    let mut groups = Vec::with_capacity(threads);
+    let (mut first, mut acc) = (0usize, 0usize);
+    for (bkt, &size) in sizes.iter().enumerate() {
+        acc += size;
+        if acc * threads >= n * (groups.len() + 1) || bkt == 255 {
+            groups.push(first..bkt + 1);
+            first = bkt + 1;
+        }
+    }
+    let fill = data[0];
+    let mut bufs: Vec<Vec<R>> = par_each(groups.clone(), |g: std::ops::Range<usize>| {
+        vec![fill; sizes[g].iter().sum()]
+    });
+
+    // 2. Scatter: part `t` owns piece `t` of every bucket's scratch range.
+    let mut pieces: Vec<Vec<&mut [R]>> = (0..counts.len()).map(|_| Vec::new()).collect();
+    for (buf, g) in bufs.iter_mut().zip(&groups) {
+        let mut rest_buf = buf.as_mut_slice();
+        for bkt in g.clone() {
+            for (t, c) in counts.iter().enumerate() {
+                let (piece, tail) = rest_buf.split_at_mut(c[bkt]);
+                pieces[t].push(piece);
+                rest_buf = tail;
+            }
+        }
+    }
+    par_each(
+        data.chunks(part).zip(pieces).collect(),
+        |(src, mut dst): (&[R], Vec<&mut [R]>)| {
+            let mut next = [0usize; 256];
+            for &r in src {
+                let b = (r.sort_key() >> (8 * d)) as u8 as usize;
+                dst[b][next[b]] = r;
+                next[b] += 1;
+            }
+        },
+    );
+
+    // 3. Sort each bucket from its scratch range into `data`, largest first.
+    let mut jobs = Vec::with_capacity(256);
+    let mut rest_data = data;
+    for (buf, g) in bufs.iter_mut().zip(&groups) {
+        let mut rest_buf = buf.as_mut_slice();
+        for &len in &sizes[g.clone()] {
+            let (bs, tb) = rest_buf.split_at_mut(len);
+            let (bd, td) = rest_data.split_at_mut(len);
+            (rest_buf, rest_data) = (tb, td);
+            if len > 0 {
+                jobs.push((bs, bd));
+            }
+        }
+    }
+    jobs.sort_by_key(|(bs, _)| bs.len());
+    let queue = Mutex::new(jobs);
+    par_each(vec![(); threads], |()| {
+        let mut hist = [[0; 256]; 8];
+        loop {
+            let job = queue.lock().expect("bucket queue poisoned").pop();
+            let Some((bs, bd)) = job else { return };
+            msd_sort(bs, bd, key_spread(bs), false, &mut hist);
+        }
+    });
+}
+
+/// Runs `f` on every item, each on its own scoped thread (the first on the
+/// caller's), and returns the results in item order.
+fn par_each<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    if items.len() == 0 {
+        return vec![f(first)];
+    }
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = items.map(|it| s.spawn(move || f(it))).collect();
+        let mut out = vec![f(first)];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("radix thread panicked")),
+        );
+        out
+    })
 }
 
 fn distribute<R: Record>(src: &[R], dst: &mut [R], digit: usize, offs: &mut [usize; 256]) {
@@ -443,7 +713,7 @@ fn ips4o_rec<R: Record>(
         // Cache-sized base case: the bucket fits in L2, where the LSD
         // radix passes are fastest. Further partitioning levels would cost
         // more classify+move passes than they save.
-        *work = work.plus(radix_sort(data));
+        *work = work.plus(radix_sort(data, 1));
         return;
     }
     if depth == 0 {
@@ -704,6 +974,30 @@ mod tests {
     }
 
     #[test]
+    fn msd_levels_bill_only_varying_bytes() {
+        // Above the MSD cutoff with only bytes 3 and 0 varying: the top
+        // pass splits on byte 3, the buckets finish on byte 0, and the
+        // tally is one histogram pass plus those two.
+        let mut rng = Pcg64::new(13);
+        let n = 2 * RADIX_MSD_CUTOFF + 3;
+        let data: Vec<u32> = (0..n)
+            .map(|_| (rng.next_u32() & 0xff00_00ff) | 0x0042_4200)
+            .collect();
+        let work = check_matches_reference(data);
+        assert_eq!(work.key_ops, 3 * n as u64);
+        assert_eq!(work.comparisons, 0);
+    }
+
+    #[test]
+    fn key_spread_marks_the_varying_bits() {
+        assert_eq!(key_spread::<u32>(&[]), 0);
+        assert_eq!(key_spread(&[7u32]), 0);
+        assert_eq!(key_spread(&[5u32, 5, 5]), 0);
+        assert_eq!(key_spread(&[0x0100u32, 0x0101, 0x0300]), 0x0201);
+        assert_eq!(top_byte(0x0201), 1);
+    }
+
+    #[test]
     fn comparison_kernel_counts_estimate() {
         let mut data: Vec<u32> = (0..1024).rev().collect();
         let work = sort_chunk(&mut data, SortKernel::Comparison);
@@ -813,7 +1107,7 @@ mod tests {
                 .collect();
             let mut expect = data.clone();
             expect.sort_unstable();
-            sort_chunk_pooled(&mut data, SortKernel::Ips4o, Some(&pool));
+            sort_chunk_pooled(&mut data, SortKernel::Ips4o, Some(&pool), 1);
             assert_eq!(data, expect);
         }
         assert!(pool.hits() > 0, "later passes must reuse pooled blocks");
@@ -830,7 +1124,7 @@ mod tests {
         let pool = pdm::BufferPool::new(16);
         assert_eq!(
             sort_chunk(&mut a, SortKernel::Ips4o),
-            sort_chunk_pooled(&mut b, SortKernel::Ips4o, Some(&pool)),
+            sort_chunk_pooled(&mut b, SortKernel::Ips4o, Some(&pool), 1),
             "pooling must not change counted work"
         );
     }

@@ -213,8 +213,9 @@ struct Prober<R: Record> {
     len: u64,
     /// Records per block of the underlying file.
     rpb: u64,
-    /// Absolute record position → cached `sort_key`.
-    keys: std::collections::HashMap<u64, u64>,
+    /// Block number → `sort_key`s of the block's in-segment records, in
+    /// order.
+    blocks: std::collections::HashMap<u64, Vec<u64>>,
 }
 
 impl<R: Record> Prober<R> {
@@ -223,22 +224,25 @@ impl<R: Record> Prober<R> {
     fn key(&mut self, i: u64) -> PdmResult<u64> {
         debug_assert!(i < self.len);
         let pos = self.offset + i;
-        if let Some(&k) = self.keys.get(&pos) {
-            return Ok(k);
-        }
-        let k = self.rd.read_at(pos)?.sort_key(); // meters the block fault
-        self.keys.insert(pos, k);
-        // The block is buffered now — harvest every in-segment key in it
-        // with unmetered reads.
         let blk = pos / self.rpb;
         let lo = (blk * self.rpb).max(self.offset);
-        let hi = ((blk + 1) * self.rpb).min(self.offset + self.len);
-        for p in lo..hi {
-            if p != pos {
-                let kp = self.rd.read_at(p)?.sort_key();
-                self.keys.insert(p, kp);
-            }
+        if let Some(keys) = self.blocks.get(&blk) {
+            return Ok(keys[(pos - lo) as usize]);
         }
+        let k = self.rd.read_at(pos)?.sort_key(); // meters the block fault
+
+        // The block is buffered now — harvest every in-segment key in it
+        // with unmetered reads.
+        let hi = ((blk + 1) * self.rpb).min(self.offset + self.len);
+        let mut keys = Vec::with_capacity((hi - lo) as usize);
+        for p in lo..hi {
+            keys.push(if p == pos {
+                k
+            } else {
+                self.rd.read_at(p)?.sort_key()
+            });
+        }
+        self.blocks.insert(blk, keys);
         Ok(k)
     }
 }
@@ -262,7 +266,7 @@ pub fn plan_cuts<R: Record>(
             offset: seg.offset,
             len: seg.len,
             rpb,
-            keys: std::collections::HashMap::new(),
+            blocks: std::collections::HashMap::new(),
         });
     }
     let mut cuts = Vec::with_capacity(workers + 1);

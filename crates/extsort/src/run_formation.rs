@@ -19,7 +19,11 @@
 //! while a pool of worker threads sorts chunks in flight and write-behind
 //! writers flush chunk `i−1`. A reorder buffer hands sorted chunks to the
 //! distributor strictly in input order, so tape assignment, file bytes and
-//! metered block-I/O are identical to the sequential path.
+//! metered block-I/O are identical to the sequential path. An input that
+//! fits in one memory load is a single chunk, which the pool would sort on
+//! one worker: it is sorted on the reading thread with all `workers`
+//! threads instead ([`crate::kernel::sort_chunk_pooled`]), and recorded as
+//! a `chunk-sort-0` span like a pooled sort.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::mpsc::{channel, sync_channel};
@@ -199,7 +203,7 @@ pub fn form_runs<R: Record>(
                 if chunk.is_empty() {
                     break;
                 }
-                work = work.plus(sort_chunk_pooled(&mut chunk, cfg.kernel, Some(&scratch)));
+                work = work.plus(sort_chunk_pooled(&mut chunk, cfg.kernel, Some(&scratch), 1));
                 let t = dist.next_tape();
                 writers[t].push_all(&chunk)?;
                 runs[t].push_back(chunk.len() as u64);
@@ -259,7 +263,8 @@ fn assemble(
 /// transfers overlap the in-core sorts. Sorted chunks pass through a reorder
 /// buffer and reach the distributor strictly in input order, which keeps the
 /// tape assignment, the file contents and the metered I/O identical to the
-/// sequential path.
+/// sequential path. An input of at most `mem_records` records skips the
+/// pool: its one chunk is sorted with `workers` threads.
 fn form_runs_pipelined<R: Record>(
     disk: &Disk,
     input: &str,
@@ -281,6 +286,10 @@ fn form_runs_pipelined<R: Record>(
     let mut records = 0u64;
     let mut work = KernelWork::default();
     let kernel = cfg.kernel;
+    // An input that fits in one memory load is one chunk: the pool would
+    // sort it on one worker, so it is sorted here with all `workers`.
+    let lone = disk.len_records::<R>(input)? <= cfg.mem_records as u64;
+    let pool_workers = if lone { 0 } else { workers };
 
     // Unsorted chunks flow to the workers through a bounded queue (so at
     // most `workers + 1` chunks queue up beyond the ones being sorted);
@@ -300,7 +309,7 @@ fn form_runs_pipelined<R: Record>(
     let epoch = Instant::now();
 
     std::thread::scope(|scope| -> PdmResult<()> {
-        for w in 0..workers {
+        for w in 0..pool_workers {
             let work_rx = Arc::clone(&work_rx);
             let done_tx = done_tx.clone();
             std::thread::Builder::new()
@@ -316,7 +325,7 @@ fn form_runs_pipelined<R: Record>(
                         match job {
                             Ok((seq, mut chunk)) => {
                                 let t0 = traced.then(|| epoch.elapsed().as_secs_f64());
-                                let kw = sort_chunk_pooled(&mut chunk, kernel, Some(&scratch));
+                                let kw = sort_chunk_pooled(&mut chunk, kernel, Some(&scratch), 1);
                                 let stat = t0.map(|s| (w, s, epoch.elapsed().as_secs_f64()));
                                 if done_tx.send((seq, chunk, kw, stat)).is_err() {
                                     return; // consumer bailed on an I/O error
@@ -370,6 +379,13 @@ fn form_runs_pipelined<R: Record>(
             reader.read_into(&mut chunk, cfg.mem_records)?;
             if chunk.is_empty() {
                 break;
+            }
+            if lone {
+                let t0 = traced.then(|| epoch.elapsed().as_secs_f64());
+                let kw = sort_chunk_pooled(&mut chunk, kernel, None, workers);
+                let stat = t0.map(|s| (0, s, epoch.elapsed().as_secs_f64()));
+                emit((chunk, kw, stat), &mut writers, &mut spare)?;
+                continue;
             }
             work_tx
                 .send((seq, chunk))

@@ -11,9 +11,11 @@
 //! configurations are drawn from a fixed-seed PCG so failures replay
 //! deterministically.
 
+use extsort::kernel::{RADIX_INSERTION_CUTOFF, RADIX_MSD_CUTOFF, RADIX_PARALLEL_MIN};
+use extsort::report::incore_sort_comparisons;
 use extsort::{
-    balanced_kway_sort, distribution_sort, merge_sorted_files_kernel, polyphase_sort,
-    ExtSortConfig, PipelineConfig, SortKernel,
+    balanced_kway_sort, distribution_sort, merge_sorted_files_kernel, polyphase_sort, sort_chunk,
+    sort_chunk_pooled, ExtSortConfig, KernelWork, PipelineConfig, SortKernel,
 };
 use pdm::record::KeyPayload;
 use pdm::{Disk, IoSnapshot, Record};
@@ -261,4 +263,119 @@ fn seeded_random_configs_identical() {
             assert_same_bytes::<u32>(&d_cmp, &d_fast, "out", &ctx);
         }
     }
+}
+
+/// The documented radix tally of one chunk: one histogram pass plus one
+/// pass per key byte that not every key shares, and for a non-total key the
+/// cleanup scan plus the estimate for each equal-key group. `None` at or
+/// below the insertion cutoff, which bills its actual comparisons.
+fn documented_radix_work<R: Record>(data: &[R], sorted: &[R]) -> Option<KernelWork> {
+    if data.len() <= RADIX_INSERTION_CUTOFF {
+        return None;
+    }
+    let n = data.len() as u64;
+    let byte = |r: &R, d: u32| (r.sort_key() >> (8 * d)) as u8;
+    let varying = (0..8)
+        .filter(|&d| data.iter().any(|r| byte(r, d) != byte(&data[0], d)))
+        .count() as u64;
+    let mut work = KernelWork {
+        comparisons: 0,
+        key_ops: n * (1 + varying),
+    };
+    if !R::KEY_IS_TOTAL {
+        work.key_ops += n;
+        for group in sorted.chunk_by(|a, b| a.sort_key() == b.sort_key()) {
+            work.comparisons += incore_sort_comparisons(group.len() as u64);
+        }
+    }
+    Some(work)
+}
+
+/// Sorts `data` with the comparison kernel and with the radix kernel on 1,
+/// 2, 3 and 4 threads: every radix output must equal the comparison output
+/// (a total `Ord` makes equal records bitwise equal) and every radix tally
+/// must equal the documented one.
+fn check_radix<R: Record>(what: &str, data: Vec<R>) {
+    let mut expect = data.clone();
+    sort_chunk(&mut expect, SortKernel::Comparison);
+    let documented = documented_radix_work(&data, &expect);
+    let mut one_thread = None;
+    for threads in 1..=4 {
+        let mut got = data.clone();
+        let work = sort_chunk_pooled(&mut got, SortKernel::Radix, None, threads);
+        let ctx = format!("{what}, n = {}, {threads} threads", data.len());
+        assert!(got == expect, "{ctx}: radix output differs from comparison");
+        match documented {
+            Some(doc) => assert_eq!(work, doc, "{ctx}: tally is not the documented one"),
+            None => assert_eq!(work.key_ops, 0, "{ctx}: insertion sort billed key ops"),
+        }
+        assert_eq!(
+            *one_thread.get_or_insert(work),
+            work,
+            "{ctx}: tally depends on threads"
+        );
+    }
+}
+
+/// Every key shape the radix kernel special-cases, at length `n`.
+fn check_radix_shapes(n: usize, seed: u64) {
+    let mut rng = Pcg64::new(seed);
+    let mut u32s = |f: &dyn Fn(u32) -> u32| (0..n).map(|_| f(rng.next_u32())).collect::<Vec<u32>>();
+    check_radix("all keys equal", u32s(&|_| 0xDEAD_BEEF));
+    check_radix(
+        "two distinct keys",
+        u32s(&|r| if r & 1 == 0 { 7 } else { 1 << 31 }),
+    );
+    check_radix("lowest byte varies", u32s(&|r| 0x1234_5600 | (r & 0xff)));
+    check_radix("top byte varies", u32s(&|r| (r & 0xff) << 24 | 0x0012_3456));
+    check_radix("uniform u32", u32s(&|r| r));
+    let negative = u32s(&|r| r % 5000)
+        .iter()
+        .map(|&r| -(r as i32) - 1)
+        .collect();
+    check_radix::<i32>("negative i32", negative);
+    check_radix(
+        "u64 high bytes",
+        (0..n)
+            .map(|_| rng.next_u64() | 0xFF00_0000_0000_0000)
+            .collect::<Vec<u64>>(),
+    );
+    check_radix(
+        "i64 high bytes",
+        (0..n).map(|_| rng.next_u64() as i64).collect::<Vec<i64>>(),
+    );
+    check_radix(
+        "KeyPayload duplicate keys",
+        (0..n)
+            .map(|_| KeyPayload::new((rng.next_u64() % 40) << 40, rng.next_u64() % 3))
+            .collect::<Vec<_>>(),
+    );
+}
+
+#[test]
+fn radix_matches_comparison_at_cutoff_lengths() {
+    let lengths = [
+        RADIX_INSERTION_CUTOFF,
+        RADIX_INSERTION_CUTOFF + 1,
+        RADIX_MSD_CUTOFF - 1,
+        RADIX_MSD_CUTOFF + 1,
+    ];
+    for (i, n) in lengths.into_iter().enumerate() {
+        check_radix_shapes(n, 0xAD1 + i as u64);
+    }
+}
+
+#[test]
+fn radix_threads_match_one_thread_around_the_parallel_minimum() {
+    // Below the minimum every thread count takes the one-thread path;
+    // above it 2, 3 and 4 threads split the top byte.
+    check_radix_shapes(RADIX_PARALLEL_MIN - 1, 0xAD5);
+    check_radix_shapes(RADIX_PARALLEL_MIN + 1, 0xAD6);
+}
+
+#[test]
+fn radix_threads_match_one_thread_on_mebi_record_chunks() {
+    // The chunk size of the merge-heavy benchmark, one record either side.
+    check_radix_shapes((1 << 20) - 1, 0xAD7);
+    check_radix_shapes((1 << 20) + 1, 0xAD8);
 }

@@ -8,6 +8,7 @@
 //! every table reproduction runs through it. Pipelining is only allowed to
 //! change *when* transfers happen, never *what* is transferred.
 
+use extsort::kernel::RADIX_PARALLEL_MIN;
 use extsort::run_formation::form_runs;
 use extsort::{
     fingerprint_file, merge_sorted_files, merge_sorted_files_with, polyphase_sort, ExtSortConfig,
@@ -113,6 +114,43 @@ fn run_formation_identical_across_workers() {
             for (a, b) in f_seq.tapes.iter().zip(&f_pipe.tapes) {
                 assert_eq!(a.runs, b.runs, "run layout differs on tape {}", a.name);
                 assert_same_bytes::<u32>(&d_seq, &d_pipe, &a.name);
+            }
+        }
+    }
+}
+
+#[test]
+fn lone_chunk_run_formation_identical_across_workers() {
+    // n = M is one chunk, which the pipelined path sorts on all `workers`
+    // threads (the radix kernel splits chunks of at least
+    // RADIX_PARALLEL_MIN records); n = M + 1 is two chunks and takes the
+    // worker pool.
+    for mem in [4096, RADIX_PARALLEL_MIN] {
+        for n in [mem, mem + 1] {
+            let data = random_u32(n, n as u64);
+            let cfg_seq = ExtSortConfig::new(mem).with_tapes(4);
+            let (d_seq, f_seq, io_seq) = metered(1024, &data, |d| {
+                form_runs::<u32>(d, "in", "rf", 3, &cfg_seq).unwrap()
+            });
+            assert_eq!(f_seq.total_runs, if n == mem { 1 } else { 2 });
+            for &w in &WORKER_COUNTS {
+                let cfg_pipe = cfg_seq
+                    .clone()
+                    .with_pipeline(PipelineConfig::with_workers(w));
+                let (d_pipe, f_pipe, io_pipe) = metered(1024, &data, |d| {
+                    form_runs::<u32>(d, "in", "rf", 3, &cfg_pipe).unwrap()
+                });
+                let ctx = format!("M = {mem}, n = {n}, workers {w}");
+                assert_eq!(io_pipe, io_seq, "{ctx}: I/O counters differ");
+                assert_eq!(f_pipe.records, f_seq.records, "{ctx}");
+                assert_eq!(f_pipe.total_runs, f_seq.total_runs, "{ctx}");
+                assert_eq!(f_pipe.comparisons, f_seq.comparisons, "{ctx}");
+                assert_eq!(f_pipe.key_ops, f_seq.key_ops, "{ctx}");
+                for (a, b) in f_seq.tapes.iter().zip(&f_pipe.tapes) {
+                    assert_eq!(a.runs, b.runs, "{ctx}: run layout differs on {}", a.name);
+                    assert_eq!(a.dummies, b.dummies, "{ctx}: dummies differ on {}", a.name);
+                    assert_same_bytes::<u32>(&d_seq, &d_pipe, &a.name);
+                }
             }
         }
     }

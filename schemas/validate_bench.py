@@ -415,6 +415,9 @@ def check_wallclock(doc):
     if not isinstance(host, dict) or not isinstance(host.get("nproc"), int) \
             or host["nproc"] <= 0:
         fail(f"host.nproc must be a positive integer, got {host!r}")
+    for key in ("rustc", "git_rev"):
+        if not isinstance(host.get(key), str) or not host[key]:
+            fail(f"host.{key} must be a non-empty string, got {host.get(key)!r}")
 
     rows = doc.get("rows")
     if not isinstance(rows, list) \
