@@ -4,13 +4,14 @@
 //! Merges 16 pre-sorted uniform-u32 runs in one pass with `merge_workers`
 //! at 1, 2 and 4, under both sort kernels, checks the runs are
 //! observationally identical (byte-identical output, identical non-seek
-//! block I/O — the parallel path may only add metered seeking reads for
-//! splitter probes and boundary prefills), and prices each run with the
-//! suite's virtual cost model exactly like the table reproductions.
+//! block I/O; the `probe_random_reads` column shows the parallel rows add
+//! no seeking reads either, since the cuts come from the fence index), and
+//! prices each run with the suite's virtual cost model exactly like the
+//! table reproductions.
 //!
 //! Pricing: the tree-select CPU (the sequential baseline's counted selects)
-//! divides by the worker count; the output record moves stay serial (one
-//! writer); workers > 1 overlap the CPU with the transfers (`max(cpu, io)`,
+//! divides by the worker count; the output record moves are billed
+//! serially, as the charger bills them; workers > 1 overlap the CPU with the transfers (`max(cpu, io)`,
 //! the same rule `cluster::Charger` applies). The headline numbers use the
 //! modern-NVMe disk model: on the paper's year-2000 SCSI model this merge
 //! is I/O-bound, so parallel select CPU cannot show through — the SCSI
@@ -87,8 +88,7 @@ fn run_once(n: u64, kernel: SortKernel, workers: usize, seed: u64, use_files: bo
     }
 }
 
-/// The streaming I/O net of seeking reads (probes/prefills are legitimately
-/// extra on the parallel path; everything else must match exactly).
+/// The streaming I/O net of seeking reads, which must match exactly.
 fn non_seek(io: &IoSnapshot) -> (u64, u64, u64, u64, u64) {
     (
         io.blocks_read - io.random_reads,
@@ -102,7 +102,7 @@ fn non_seek(io: &IoSnapshot) -> (u64, u64, u64, u64, u64) {
 /// Virtual seconds for one run: tree selects (the *baseline's* counts — the
 /// per-worker trees count differently, the model divides the sequential
 /// work) spread over `workers`, serial output moves, and the run's own
-/// metered I/O (so the parallel rows pay for their probe seeks).
+/// metered I/O.
 fn virtual_secs(baseline: &MergeReport, run: &Run, workers: usize, disk_model: &DiskModel) -> f64 {
     let cpu = CpuModel::alpha_533();
     let w = workers.max(1) as u64;
@@ -168,8 +168,7 @@ fn main() {
                 Some(run_once(n, kernel, w, args.seed, args.files))
             };
             let run = run.as_ref().unwrap_or(&base);
-            // The contract: range partitioning changes nothing observable
-            // but seeking reads.
+            // The contract: range partitioning changes nothing observable.
             assert_eq!(
                 run.out_bytes, base.out_bytes,
                 "{kernel:?}, workers {w}: output bytes diverged"

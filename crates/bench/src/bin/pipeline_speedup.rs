@@ -18,10 +18,10 @@
 //!
 //! A second ladder adds range-partitioned merge workers on top
 //! (`combined` rows): the merge-phase selects divide by the merge worker
-//! count too, while output moves stay serial and every probe seek the
-//! parallel merge issues is paid through the run's own metered I/O. On
-//! the year-2000 SCSI model those 8 ms probe seeks can eat the merge-CPU
-//! win, so the combined rows are also priced on the modern-NVMe model
+//! count too, while output moves stay serial and the I/O is the run's
+//! own metered counters. On the year-2000 SCSI model the merge is
+//! I/O-bound and the divided merge CPU barely shows, so the combined rows
+//! are also priced on the modern-NVMe model
 //! (`virtual_secs_nvme`), where the engine is CPU-bound and the full
 //! benefit shows; the headline `speedup_combined_4` uses the NVMe
 //! pricing for both the baseline and the combined run.
@@ -87,9 +87,9 @@ fn formation_comparisons(n: u64, mem_records: usize) -> u64 {
     full * incore_sort_comparisons(m) + incore_sort_comparisons(tail)
 }
 
-/// The I/O net of seeking reads: parallel merging adds splitter probes and
-/// boundary prefills (metered as `random_reads`/`seek_bytes`); all other
-/// traffic must match the sequential oracle exactly.
+/// The I/O net of seeking reads, which must match the sequential oracle
+/// exactly (parallel merging reads and writes every block once, so it
+/// adds no seeking reads either).
 fn non_seek(io: &IoSnapshot) -> (u64, u64, u64, u64, u64) {
     (
         io.blocks_read - io.random_reads,
@@ -104,8 +104,7 @@ fn non_seek(io: &IoSnapshot) -> (u64, u64, u64, u64, u64) {
 /// overlaps them (`max`) and spreads the chunk sorting over `workers`;
 /// merge workers additionally divide the merge-phase selects (counted on
 /// the *baseline* report — per-worker trees count differently) while
-/// output moves stay serial. I/O is always the run's own metered counters,
-/// so parallel rows pay for their probe seeks.
+/// output moves stay serial. I/O is always the run's own metered counters.
 fn virtual_secs(
     baseline: &SortReport,
     run: &Run,
@@ -217,9 +216,8 @@ fn main() {
     }
 
     // Combined ladder: sort workers *and* range-partitioned merge workers.
-    // The merge-phase selects now divide too; the probe seeks the parallel
-    // merge issues show up in this run's own metered I/O and are priced
-    // under both disk models.
+    // The merge-phase selects now divide too; the run's own metered I/O is
+    // priced under both disk models.
     let mut speedup_combined_4 = 0.0;
     for &w in &WORKER_LADDER {
         let cfg = cfg_seq

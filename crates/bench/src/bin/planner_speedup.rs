@@ -226,9 +226,8 @@ fn main() {
             "scsi adaptive plan must never be worse than sequential, \
              got {scsi_adaptive_vs_seq:.3}x"
         );
-        // At CI's --quick scale the splitter probes are a bigger fraction of
-        // the (tiny) merge, so the wide plan clears a lower bar; the full-
-        // size run must clear the headline 3x.
+        // At CI's --quick scale the merge is tiny, so the wide plan clears
+        // a lower bar; the full-size run must clear the headline 3x.
         let nvme_floor = if args.quick { 2.0 } else { 3.0 };
         assert!(
             nvme_adaptive_speedup >= nvme_floor,

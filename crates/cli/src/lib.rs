@@ -31,23 +31,23 @@
 //! charged time changes.
 //!
 //! `--merge-workers W` (W >= 2) enables range-partitioned parallel
-//! merging: every k-way merge samples splitters from its sorted inputs
-//! and runs W loser trees over disjoint key ranges concurrently. Output
-//! is byte-identical to the sequential merge and the streaming I/O is
-//! unchanged (splitter probes appear as extra metered random reads).
-//! Composes with `--workers`; either can be used alone. Note that
-//! `cluster` charges the paper's year-2000 SCSI disk model by default
-//! (`--disk scsi`), on which the 8 ms probe seeks outweigh the divided
-//! merge CPU — an explicit worker count *raises* the reported virtual
-//! time there, while on `--disk nvme` 4 workers win ~3.2x.
+//! merging: every k-way merge cuts its sorted inputs into W disjoint key
+//! ranges and runs W loser trees concurrently, each writing its slice of
+//! the output in place. Output and I/O counters are identical to the
+//! sequential merge. Composes with `--workers`; either can be used alone.
+//! Note that `cluster` charges the paper's year-2000 SCSI disk model by
+//! default (`--disk scsi`), whose single spindle queues the extra request
+//! streams — an explicit worker count *raises* the reported virtual time
+//! there, while on `--disk nvme` 4 workers win ~3.2x.
 //!
 //! `--merge-workers auto` hands every unpinned knob to the adaptive
 //! planner: it prices candidate worker counts against the device's
 //! contention model (queue depth, seek settle) and picks the cheapest
-//! plan — sequential on `scsi`, wide on `nvme` — and derives prefetch
-//! depth, message size and streaming-vs-staged exchange from the same
-//! model. Explicit `--msg`, `--streaming-merge` or a numeric
-//! `--merge-workers` remain overrides.
+//! plan — sequential on `scsi`, wide on `nvme`, one worker per core on
+//! the real files of `sort` — and derives prefetch depth, message size
+//! and streaming-vs-staged exchange from the same model. Explicit
+//! `--msg`, `--streaming-merge` or a numeric `--merge-workers` remain
+//! overrides. `sort` prints the merge workers each phase used.
 //!
 //! `--trace-out`, `--metrics-out` and `--profile` enable the phase-span
 //! tracer for `cluster` runs: `--trace-out PATH` writes a Chrome
@@ -382,9 +382,16 @@ fn cmd_sort(opts: &Options) -> Result<String, String> {
         other => return Err(format!("unknown --algo {other:?}")),
     }
     .map_err(|e| e.to_string())?;
+    let merge_workers = if report.merge_workers.is_empty() {
+        "none".to_string()
+    } else {
+        let counts: Vec<String> = report.merge_workers.iter().map(|w| w.to_string()).collect();
+        counts.join(",")
+    };
     Ok(format!(
         "sorted {} records with {algo} ({} kernel) in {:.2}s wall time\n\
-         initial runs {}, passes {}, comparisons {}, key ops {}, block I/Os {}",
+         initial runs {}, passes {}, comparisons {}, key ops {}, block I/Os {}\n\
+         merge workers {merge_workers}",
         report.records,
         kernel.name(),
         start.elapsed().as_secs_f64(),
@@ -717,6 +724,37 @@ mod tests {
                 "verify", "--dir", &dir, "--sorted", "out", "--input", "in", "--block", "4096",
             ]))
             .unwrap();
+        }
+    }
+
+    #[test]
+    fn sort_reports_merge_workers_per_phase() {
+        let scratch = pdm::ScratchDir::new("cli-mw-report").unwrap();
+        let dir = scratch.path().to_str().unwrap().to_string();
+        run(&opts(&[
+            "gen", "--dir", &dir, "--name", "in", "--n", "20000", "--seed", "5",
+        ]))
+        .unwrap();
+        for (workers, expect) in [("1", "merge workers 1,1"), ("2", "merge workers 2,2")] {
+            let out = run(&opts(&[
+                "sort",
+                "--dir",
+                &dir,
+                "--input",
+                "in",
+                "--output",
+                &format!("out{workers}"),
+                "--mem",
+                "4096",
+                "--tapes",
+                "4",
+                "--block",
+                "4096",
+                "--merge-workers",
+                workers,
+            ]))
+            .unwrap();
+            assert!(out.ends_with(expect), "{workers}: {out}");
         }
     }
 

@@ -91,8 +91,8 @@ pub struct ExternalPsrsConfig {
     /// precedence over `fused_redistribution` when both are set.
     pub streaming_merge: bool,
     /// Pipelined-execution knobs for the I/O-heavy phases (step 1's local
-    /// sort and step 5's final merge): prefetch readers, write-behind
-    /// writers, parallel run formation. Off by default (the sequential
+    /// sort and step 5's final merge): prefetching run formation,
+    /// write-behind writers, parallel chunk sorting. Off by default (the sequential
     /// reference). When on, those phases are charged `max(cpu, io)` instead
     /// of `cpu + io` — the transfers hide behind the computation.
     pub pipeline: PipelineConfig,

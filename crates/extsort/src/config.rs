@@ -125,8 +125,8 @@ impl PipelineConfig {
 
     /// Sets the parallel-merge worker count as an *advisory* target
     /// (builder style; clamped to ≥ 1): the planner may fall back to the
-    /// sequential merge when the device model says splitter probes would
-    /// cost more than the parallelism saves.
+    /// sequential merge when the device model says the extra request
+    /// streams would cost more than the parallelism saves.
     #[must_use]
     pub fn with_advisory_merge_workers(mut self, workers: usize) -> Self {
         self.merge_workers = workers.max(1);

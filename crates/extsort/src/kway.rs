@@ -14,11 +14,9 @@ use pdm::{BufferPool, Disk, PdmResult, Record};
 
 use crate::config::{ExtSortConfig, PipelineConfig};
 use crate::kernel::SortKernel;
-use crate::loser_tree::LoserTree;
-use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
+use crate::parallel_merge::{merge_into, planned_workers, MergeInput, MergeOutput, MergeSegment};
 use crate::report::{MergeReport, SortReport};
 use crate::run_formation::{form_runs, FormedRuns};
-use crate::stream::{Bounded, MergeWriter, RecordStream};
 
 /// Sorts `input` into `output` with a balanced k-way merge sort using the
 /// same file budget as [`crate::polyphase::polyphase_sort`] (fan-in `T/2`).
@@ -45,7 +43,7 @@ pub fn balanced_kway_sort<R: Record>(
         merge_phases: 0,
         comparisons: formed.comparisons,
         key_ops: formed.key_ops,
-        io: Default::default(),
+        ..Default::default()
     };
 
     // Flatten the formed layout into a work list of (file, offset, len).
@@ -81,9 +79,11 @@ pub fn balanced_kway_sort<R: Record>(
         let _span = obs::scoped("extsort.merge-pass");
         let mut next_runs: Vec<RunRef> = Vec::new();
         let mut next_files: Vec<String> = Vec::new();
+        let mut pass_workers = 0;
         for (g, group) in runs.chunks(fan_in).enumerate() {
             let name = format!("{job}.gen{generation}.{g}");
-            let merged = merge_run_group::<R>(disk, &files, group, &name, cfg, &pool)?;
+            let (merged, workers) = merge_run_group::<R>(disk, &files, group, &name, cfg, &pool)?;
+            pass_workers = pass_workers.max(workers);
             report.comparisons += merged.comparisons;
             report.key_ops += merged.key_ops;
             next_runs.push(RunRef {
@@ -99,6 +99,7 @@ pub fn balanced_kway_sort<R: Record>(
         files = next_files;
         runs = next_runs;
         report.merge_phases += 1;
+        report.merge_workers.push(pass_workers);
     }
 
     disk.rename(&files[runs[0].file], output)?;
@@ -119,11 +120,7 @@ struct RunRef {
 }
 
 /// Merges one group of runs (possibly from different files/offsets) into a
-/// fresh output file.
-///
-/// Run inputs need `seek`, so they always use (pooled) synchronous readers;
-/// with the pipeline on, the output side is write-behind, overlapping the
-/// merge computation with the output transfers.
+/// fresh output file; returns the merge's report and the workers it used.
 fn merge_run_group<R: Record>(
     disk: &Disk,
     files: &[String],
@@ -131,48 +128,24 @@ fn merge_run_group<R: Record>(
     output: &str,
     cfg: &ExtSortConfig,
     pool: &BufferPool,
-) -> PdmResult<MergeReport> {
+) -> PdmResult<(MergeReport, usize)> {
     let records: u64 = group.iter().map(|r| r.len).sum();
     let workers = planned_workers::<R>(disk, &cfg.pipeline, group.len(), records, cfg.kernel);
-    let streams = if workers > 1 { workers } else { group.len() } + 1;
-    let mut writer = MergeWriter::<R>::create(disk, output, &cfg.pipeline, streams, pool)?;
-    let (produced, comparisons) = if workers > 1 {
-        let segments: Vec<MergeSegment> = group
-            .iter()
-            .map(|r| MergeSegment::new(files[r.file].clone(), r.offset, r.len))
-            .collect();
-        let out = parallel_merge_segments::<R, _>(disk, &segments, workers, pool, |batch| {
-            writer.push_all(batch)
-        })?;
-        (out.records, out.comparisons)
-    } else {
-        let mut views = Vec::with_capacity(group.len());
-        for r in group {
-            let mut rd = disk.open_reader_pooled::<R>(&files[r.file], Some(pool.clone()))?;
-            rd.seek(r.offset);
-            views.push(Bounded::new(rd, r.len));
-        }
-        tree_merge(views, &mut writer)?
-    };
-    writer.finish()?;
-    Ok(merge_report::<R>(
-        produced,
+    let inputs = group
+        .iter()
+        .map(|r| MergeInput::fresh(MergeSegment::new(files[r.file].clone(), r.offset, r.len)))
+        .collect();
+    let mut out = MergeOutput::<R>::create(disk, output)?;
+    let merged = merge_into(disk, inputs, &mut out, workers, &cfg.pipeline, pool)?;
+    out.finish(disk, pool)?;
+    let report = merge_report::<R>(
+        merged.records,
         group.len(),
-        comparisons,
+        merged.comparisons,
         cfg.kernel,
         Default::default(),
-    ))
-}
-
-/// Merges `sources` into `writer` with one loser tree, a block at a time;
-/// returns `(records, selects)`.
-fn tree_merge<R: Record, S: RecordStream<R>>(
-    sources: Vec<S>,
-    writer: &mut MergeWriter<R>,
-) -> PdmResult<(u64, u64)> {
-    let mut tree = LoserTree::new(sources)?;
-    let produced = tree.drain_into(|batch| writer.push_all(batch))?;
-    Ok((produced, tree.comparisons()))
+    );
+    Ok((report, merged.workers))
 }
 
 /// Single-pass multiway merge of complete sorted files into `output`.
@@ -185,10 +158,9 @@ pub fn merge_sorted_files<R: Record>(
     merge_sorted_files_with::<R>(disk, inputs, output, &PipelineConfig::off())
 }
 
-/// [`merge_sorted_files`] with explicit pipeline knobs: when enabled, every
-/// input is prefetched by a background reader and the output is written
-/// behind, so the p-way merge computation overlaps all its transfers.
-/// Selects are priced with the default kernel; use
+/// [`merge_sorted_files`] with explicit pipeline knobs: when enabled, the
+/// output is written behind, overlapping the merge computation with its
+/// output transfers. Selects are priced with the default kernel; use
 /// [`merge_sorted_files_kernel`] to pin it.
 pub fn merge_sorted_files_with<R: Record>(
     disk: &Disk,
@@ -212,44 +184,24 @@ pub fn merge_sorted_files_kernel<R: Record>(
 ) -> PdmResult<MergeReport> {
     let _span = obs::scoped("extsort.kway-merge");
     let io_before = disk.stats().snapshot();
-    // One pool for the whole merge: readers and the writer recycle each
+    // One pool for the whole merge: readers and writers recycle each
     // other's block buffers instead of allocating per file (and per block).
     let pool = BufferPool::default();
-    let mut total = 0u64;
+    let mut segments = Vec::with_capacity(inputs.len());
     for name in inputs {
-        total += disk.len_records::<R>(name)?;
+        segments.push(MergeInput::fresh(MergeSegment::whole_file::<R>(
+            disk, name,
+        )?));
     }
+    let total = segments.iter().map(|i| i.seg.len).sum();
     let workers = planned_workers::<R>(disk, pipeline, inputs.len(), total, kernel);
-    let streams = if workers > 1 { workers } else { inputs.len() } + 1;
-    let mut writer = MergeWriter::<R>::create(disk, output, pipeline, streams, &pool)?;
-    let (produced, comparisons) = if workers > 1 {
-        let mut segments = Vec::with_capacity(inputs.len());
-        for name in inputs {
-            segments.push(MergeSegment::whole_file::<R>(disk, name)?);
-        }
-        let out = parallel_merge_segments::<R, _>(disk, &segments, workers, &pool, |batch| {
-            writer.push_all(batch)
-        })?;
-        (out.records, out.comparisons)
-    } else if pipeline.enabled {
-        let depth = pipeline.depth_for(disk.model(), streams);
-        let mut readers = Vec::with_capacity(inputs.len());
-        for name in inputs {
-            readers.push(disk.open_prefetch_reader::<R>(name, depth, pool.clone())?);
-        }
-        tree_merge(readers, &mut writer)?
-    } else {
-        let mut readers = Vec::with_capacity(inputs.len());
-        for name in inputs {
-            readers.push(disk.open_reader_pooled::<R>(name, Some(pool.clone()))?);
-        }
-        tree_merge(readers, &mut writer)?
-    };
-    writer.finish()?;
+    let mut out = MergeOutput::<R>::create(disk, output)?;
+    let merged = merge_into(disk, segments, &mut out, workers, pipeline, &pool)?;
+    out.finish(disk, &pool)?;
     Ok(merge_report::<R>(
-        produced,
+        merged.records,
         inputs.len(),
-        comparisons,
+        merged.comparisons,
         kernel,
         disk.stats().snapshot().delta(&io_before),
     ))

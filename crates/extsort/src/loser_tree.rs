@@ -253,6 +253,11 @@ impl<R: Record, S: RecordStream<R>> LoserTree<R, S> {
         }
     }
 
+    /// Ends the merge and hands back its sources.
+    pub fn into_sources(self) -> Vec<S> {
+        self.sources
+    }
+
     /// Comparisons performed so far (tournament selects; each is one packed
     /// tag compare plus, on equal keys of non-total records only, one full
     /// record comparison).

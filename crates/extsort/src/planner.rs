@@ -11,16 +11,19 @@
 //! The predicted service time of a candidate mirrors how the charger will
 //! actually bill the merge:
 //!
-//! * **I/O** — every data block is read once and written once; splitter
-//!   probes and worker boundary faults are random reads; the whole delta is
-//!   priced by [`DiskModel::shared_service_time`] with the worker count as
-//!   the declared stream count. One worker ⇒ one stream ⇒ the historical
+//! * **I/O** — every data block is read once and written once, for any
+//!   worker count (the cuts come from the fence index, with no probe); the
+//!   delta is priced by [`DiskModel::shared_service_time`] with the worker
+//!   count as the declared stream count. One worker ⇒ one stream ⇒ the
 //!   dedicated price.
 //! * **CPU** — loser-tree selects (`records · ⌈log₂ fan_in⌉` of them) run
-//!   on the workers concurrently; record moves land on the single writer
-//!   thread. Selects are priced at the comparison rate, or the (cheaper)
-//!   key-op rate when the merge runs a key-based kernel — the rate the
-//!   charger actually bills.
+//!   on the workers concurrently. Each worker also writes its own slice of
+//!   the output, but record moves are priced once, serially, because that
+//!   is how the charger bills a parallel merge. Selects are priced at the
+//!   comparison rate, or the (cheaper) key-op rate when the merge runs a
+//!   key-based kernel — the rate the charger actually bills. On a device
+//!   that is the host's page cache ([`DiskModel::host`]) at most the host's
+//!   cores run concurrently, so extra workers divide nothing further.
 //! * A parallel candidate is charged `max(cpu, io)` (the pipelined rule);
 //!   the sequential candidate is charged `cpu + io` unless the caller says
 //!   the merge runs under a pipelined section anyway.
@@ -82,40 +85,18 @@ impl MergeShape {
         (self.records * self.record_size as u64).div_ceil(self.block_bytes.max(1) as u64)
     }
 
-    /// Estimated metered random reads a `workers`-way split costs: each of
-    /// the `workers − 1` cuts binary-searches every segment (≈ `⌈log₂
-    /// blocks-per-segment⌉` distinct blocks each, see the probe-bound
-    /// regression test), and each non-first worker faults one boundary
-    /// block per segment. Capped at the data block count plus boundaries —
-    /// probes dedupe at block granularity and cannot exceed the file.
-    pub fn probe_reads(&self, workers: usize) -> u64 {
-        if workers <= 1 {
-            return 0;
-        }
-        let cuts = (workers - 1) as u64;
-        let k = self.fan_in.max(1) as u64;
-        let blocks_per_seg = (self.data_blocks() / k).max(1);
-        let per_cut = k * (u64::BITS - blocks_per_seg.leading_zeros()) as u64;
-        let boundary_faults = cuts * k;
-        (cuts * per_cut).min(self.data_blocks()) + boundary_faults
-    }
-
-    /// The I/O delta a `workers`-way merge of this shape is predicted to
-    /// produce: every data block read and written once, plus the splitter
-    /// probes as random reads.
-    pub fn predicted_io(&self, workers: usize) -> IoSnapshot {
+    /// The I/O delta a merge of this shape is predicted to produce, for any
+    /// worker count: every data block read and written once.
+    pub fn predicted_io(&self) -> IoSnapshot {
         let blocks = self.data_blocks();
         let bytes = self.records * self.record_size as u64;
-        let probes = self.probe_reads(workers);
-        let probe_bytes = probes * self.block_bytes as u64;
         IoSnapshot {
-            blocks_read: blocks + probes,
+            blocks_read: blocks,
             blocks_written: blocks,
-            bytes_read: bytes + probe_bytes,
+            bytes_read: bytes,
             bytes_written: bytes,
-            random_reads: probes,
-            seek_bytes: probe_bytes,
             files_created: 1,
+            ..Default::default()
         }
     }
 }
@@ -158,11 +139,22 @@ pub fn predict_merge_parts(
         cpu.ns_per_comparison
     };
     let compare = SimDuration::from_secs(selects as f64 * ns_per_select * 1e-9);
-    // Selects parallelize across workers; the stitch/write side stays serial.
+    // Selects parallelize across the workers that can run at once; moves
+    // are billed serially.
+    let concurrent = if model.is_host() {
+        workers.min(host_cores())
+    } else {
+        workers
+    };
     let moves = SimDuration::from_secs(shape.records as f64 * cpu.ns_per_record_move * 1e-9);
-    let cpu_time = compare / workers as f64 + moves;
-    let io_time = model.shared_service_time(&shape.predicted_io(workers), workers);
+    let cpu_time = compare / concurrent as f64 + moves;
+    let io_time = model.shared_service_time(&shape.predicted_io(), workers);
     (cpu_time, io_time)
+}
+
+/// Cores this process may run on.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn ceil_log2(x: u64) -> u64 {
@@ -277,6 +269,7 @@ mod tests {
             DiskModel::scsi_2000(),
             DiskModel::nvme_modern(),
             DiskModel::free(),
+            DiskModel::host(),
         ] {
             for fan_in in [2usize, 8, 15] {
                 for records in [1u64 << 10, 1 << 16, 1 << 22] {
@@ -327,27 +320,25 @@ mod tests {
     }
 
     #[test]
-    fn probe_estimate_scales_with_cuts_and_caps_at_file() {
-        let s = shape();
-        assert_eq!(s.probe_reads(1), 0);
-        assert!(s.probe_reads(4) > s.probe_reads(2));
-        // A tiny merge cannot be charged more probes than it has blocks
-        // (plus one boundary fault per cut and segment).
-        let tiny = MergeShape {
-            fan_in: 16,
-            records: 64,
-            record_size: 4,
-            block_bytes: 4096,
-            key_based: false,
-        };
-        let cuts = 7u64;
-        assert!(tiny.probe_reads(8) <= tiny.data_blocks() + cuts * 16);
+    fn host_profile_goes_as_wide_as_the_cores() {
+        let cpu = CpuCost::default();
+        let cores = host_cores();
+        let w = choose_merge_workers(&DiskModel::host(), &cpu, &shape(), 8, true);
+        assert_eq!(w, cores.min(8));
+        // Past the core count a worker prices the same, so ties keep fewer.
+        let at_cores = predict_merge_time(&DiskModel::host(), &cpu, &shape(), cores, true);
+        let past = predict_merge_time(&DiskModel::host(), &cpu, &shape(), cores + 1, true);
+        assert_eq!(at_cores, past);
     }
 
     #[test]
     fn depth_follows_queue_depth() {
         let scsi = DiskModel::scsi_2000();
         let nvme = DiskModel::nvme_modern();
+        let host = DiskModel::host();
+        for streams in 1..=16 {
+            assert_eq!(planned_depth(&host, streams), 2, "host: double buffer");
+        }
         assert_eq!(planned_depth(&scsi, 1), 2, "shallow queue: double buffer");
         assert_eq!(planned_depth(&scsi, 4), 2);
         assert_eq!(planned_depth(&nvme, 1), 8, "deep queue: fill the batch");
@@ -372,13 +363,11 @@ mod tests {
     }
 
     #[test]
-    fn predicted_io_books_probes_as_random_reads() {
+    fn predicted_io_reads_and_writes_every_block_once() {
         let s = shape();
-        let io = s.predicted_io(4);
-        assert_eq!(io.random_reads, s.probe_reads(4));
-        assert_eq!(io.blocks_read - io.random_reads, s.data_blocks());
+        let io = s.predicted_io();
+        assert_eq!(io.random_reads, 0);
+        assert_eq!(io.blocks_read, s.data_blocks());
         assert_eq!(io.blocks_written, s.data_blocks());
-        let seq = s.predicted_io(1);
-        assert_eq!(seq.random_reads, 0);
     }
 }

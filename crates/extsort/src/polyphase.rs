@@ -12,14 +12,12 @@
 
 use std::collections::VecDeque;
 
-use pdm::{BlockReader, BufferPool, Disk, PdmResult, Record};
+use pdm::{BufferPool, Disk, PdmResult, Record};
 
 use crate::config::ExtSortConfig;
-use crate::loser_tree::LoserTree;
-use crate::parallel_merge::{parallel_merge_segments, planned_workers, MergeSegment};
+use crate::parallel_merge::{merge_into, planned_workers, MergeInput, MergeOutput, MergeSegment};
 use crate::report::SortReport;
 use crate::run_formation::{form_runs, FormedRuns};
-use crate::stream::{Bounded, MergeWriter};
 
 /// Sorts `input` into a new file `output` using polyphase merge sort.
 ///
@@ -57,7 +55,7 @@ pub fn polyphase_sort<R: Record>(
         merge_phases: 0,
         comparisons: formed.comparisons,
         key_ops: formed.key_ops,
-        io: Default::default(),
+        ..Default::default()
     };
 
     merge_phases::<R>(disk, formed, output, job, cfg, &mut report)?;
@@ -71,11 +69,11 @@ struct Tape<R: Record> {
     name: String,
     runs: VecDeque<u64>,
     dummies: u64,
-    reader: Option<BlockReader<R>>,
-    /// Records of this file consumed by earlier merge steps (the cursor the
-    /// range-partitioned path resumes from; the sequential path keeps the
-    /// cursor inside `reader` instead).
+    /// Records of this file consumed by earlier merge steps.
     consumed: u64,
+    /// The rest of the block the last step read past `consumed`: the next
+    /// step's head, so no block of the tape is read twice.
+    carry: Vec<R>,
 }
 
 impl<R: Record> Tape<R> {
@@ -115,8 +113,8 @@ fn merge_phases<R: Record>(
             name: t.name,
             runs: t.runs,
             dummies: t.dummies,
-            reader: None,
             consumed: 0,
+            carry: Vec::new(),
         })
         .collect();
     // The output tape starts empty.
@@ -125,13 +123,9 @@ fn merge_phases<R: Record>(
         name: format!("{job}.tape{}", tapes.len()),
         runs: VecDeque::new(),
         dummies: 0,
-        reader: None,
         consumed: 0,
+        carry: Vec::new(),
     });
-    // Range-partitioned merging applies only when positional cuts reproduce
-    // the tree's tie-break (total-order keys); every step then goes through
-    // the segment API so the resume metering stays self-consistent.
-    let par_mode = cfg.pipeline.effective_merge_workers() > 1 && R::HAS_SORT_KEY && R::KEY_IS_TOTAL;
 
     let mut phase_guard = 0u32;
     loop {
@@ -157,15 +151,15 @@ fn merge_phases<R: Record>(
             .expect("at least one input tape");
         debug_assert!(steps > 0, "ideal distribution guarantees non-empty tapes");
 
-        // Fresh file for this phase's output.
+        // Fresh file for this phase's output; each step appends one run.
         disk.remove(&tapes[out_idx].name)?;
-        let mut writer =
-            MergeWriter::<R>::create(disk, &tapes[out_idx].name, &cfg.pipeline, 2, &pool)?;
+        let mut output = MergeOutput::<R>::create(disk, &tapes[out_idx].name)?;
         let mut out_runs: VecDeque<u64> = VecDeque::new();
         let mut out_dummies = 0u64;
+        let mut phase_workers = 0;
 
         for _ in 0..steps {
-            // Collect this step's run view from every input tape; dummies
+            // Collect this step's run from every input tape; dummies
             // contribute nothing (consumed first, per Knuth).
             let mut contributors: Vec<(usize, u64)> = Vec::new();
             for (i, tape) in tapes.iter_mut().enumerate() {
@@ -186,74 +180,49 @@ fn merge_phases<R: Record>(
                 continue;
             }
             let merged_len: u64 = contributors.iter().map(|&(_, l)| l).sum();
-            let selects = if par_mode {
-                let segments: Vec<MergeSegment> = contributors
-                    .iter()
-                    .map(|&(i, len)| {
-                        MergeSegment::new(tapes[i].name.clone(), tapes[i].consumed, len)
-                            .resumed(tapes[i].consumed > 0)
-                    })
-                    .collect();
-                let step_workers = planned_workers::<R>(
-                    disk,
-                    &cfg.pipeline,
-                    contributors.len(),
-                    merged_len,
-                    cfg.kernel,
-                );
-                let out =
-                    parallel_merge_segments::<R, _>(disk, &segments, step_workers, &pool, |b| {
-                        writer.push_all(b)
-                    })?;
-                for &(i, len) in &contributors {
-                    tapes[i].consumed += len;
-                }
-                out.comparisons
-            } else {
-                // One run from each contributing tape, read through the
-                // tape's own reader (opened on first use) so its cursor
-                // stays at the next run. Contributors ascend by tape index.
-                let mut views = Vec::with_capacity(contributors.len());
-                let mut rest = tapes.iter_mut().enumerate();
-                for &(i, len) in &contributors {
-                    let (_, tape) = rest.find(|(j, _)| *j == i).expect("contributors ascend");
-                    if tape.reader.is_none() {
-                        tape.reader =
-                            Some(disk.open_reader_pooled::<R>(&tape.name, Some(pool.clone()))?);
-                    }
-                    views.push(Bounded::new(
-                        tape.reader.as_mut().expect("opened above"),
-                        len,
-                    ));
-                }
-                let mut tree = LoserTree::new(views)?;
-                tree.drain_into(|b| writer.push_all(b))?;
-                tree.comparisons()
-            };
+            let inputs = contributors
+                .iter()
+                .map(|&(i, len)| MergeInput {
+                    seg: MergeSegment::new(tapes[i].name.clone(), tapes[i].consumed, len),
+                    head: std::mem::take(&mut tapes[i].carry),
+                })
+                .collect();
+            let workers = planned_workers::<R>(
+                disk,
+                &cfg.pipeline,
+                contributors.len(),
+                merged_len,
+                cfg.kernel,
+            );
+            let merged = merge_into(disk, inputs, &mut output, workers, &cfg.pipeline, &pool)?;
+            for (&(i, len), tail) in contributors.iter().zip(merged.tails) {
+                tapes[i].consumed += len;
+                tapes[i].carry = tail;
+            }
+            phase_workers = phase_workers.max(merged.workers);
             // Cached-key selects are key ops under a key-based kernel, full
             // comparisons under the reference kernel.
             if cfg.kernel.key_based::<R>() {
-                report.key_ops += selects;
+                report.key_ops += merged.comparisons;
             } else {
-                report.comparisons += selects;
+                report.comparisons += merged.comparisons;
             }
             out_runs.push_back(merged_len);
         }
 
-        writer.finish()?;
+        output.finish(disk, &pool)?;
         tapes[out_idx].runs = out_runs;
         tapes[out_idx].dummies = out_dummies;
-        tapes[out_idx].reader = None;
-        // Freshly written file: the resume cursor restarts at the beginning.
+        // Freshly written file: it is read from the beginning.
         tapes[out_idx].consumed = 0;
+        tapes[out_idx].carry.clear();
         report.merge_phases += 1;
+        report.merge_workers.push(phase_workers);
 
         // The tape that just emptied becomes the next output.
         let emptied = (0..tapes.len())
             .find(|&i| i != out_idx && tapes[i].total_runs() == 0)
             .expect("polyphase phase must empty exactly one tape");
-        // Its reader (if any) is done; drop it so the file can be reused.
-        tapes[emptied].reader = None;
         out_idx = emptied;
     }
 
@@ -264,8 +233,7 @@ fn merge_phases<R: Record>(
     let final_idx = (0..tapes.len())
         .find(|&i| !tapes[i].runs.is_empty())
         .expect("one run must remain");
-    for (i, t) in tapes.iter_mut().enumerate() {
-        t.reader = None;
+    for (i, t) in tapes.iter().enumerate() {
         if i != final_idx {
             disk.remove(&t.name)?;
         }
@@ -438,9 +406,9 @@ mod tests {
             );
             assert_eq!(seq.initial_runs, par.initial_runs);
             assert_eq!(seq.merge_phases, par.merge_phases);
-            // Range partitioning adds splitter probes and boundary-block
-            // prefills, all metered as seeking reads; the streaming I/O and
-            // every write must match the sequential oracle exactly.
+            // Range partitioning reads and writes every block once: the
+            // streaming I/O and every write must match the sequential
+            // oracle exactly.
             assert_eq!(
                 seq.io.blocks_read - seq.io.random_reads,
                 par.io.blocks_read - par.io.random_reads,

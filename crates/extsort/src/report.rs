@@ -29,6 +29,9 @@ pub struct SortReport {
     pub key_ops: u64,
     /// Block-I/O delta attributable to this sort.
     pub io: IoSnapshot,
+    /// Merge workers each merge phase used (the most any of its merges
+    /// used), one entry per phase.
+    pub merge_workers: Vec<usize>,
 }
 
 /// What a single multiway merge pass did.
@@ -57,6 +60,7 @@ impl SortReport {
         self.comparisons += other.comparisons;
         self.key_ops += other.key_ops;
         self.io = self.io.plus(&other.io);
+        self.merge_workers.extend_from_slice(&other.merge_workers);
     }
 }
 
@@ -94,6 +98,7 @@ mod tests {
                 blocks_read: 10,
                 ..Default::default()
             },
+            merge_workers: vec![1],
         };
         let b = SortReport {
             records: 100,
@@ -106,11 +111,13 @@ mod tests {
                 blocks_written: 3,
                 ..Default::default()
             },
+            merge_workers: vec![2, 2],
         };
         a.absorb(&b);
         assert_eq!(a.records, 100);
         assert_eq!(a.initial_runs, 4);
         assert_eq!(a.merge_phases, 3);
+        assert_eq!(a.merge_workers, [1, 2, 2]);
         assert_eq!(a.comparisons, 1200);
         assert_eq!(a.key_ops, 100);
         assert_eq!(a.io.blocks_read, 15);

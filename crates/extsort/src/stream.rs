@@ -1,12 +1,12 @@
 //! Fallible record streams, and the writer file-backed merges feed.
 //!
 //! The merge machinery is generic over where records come from: a block
-//! file, an in-memory slice (tests), or a *bounded view* of the next `L`
-//! records of a tape (polyphase reads one run at a time from each tape).
+//! file, an in-memory slice (tests), a *bounded view* of the next `L`
+//! records of a stream, or a merge worker's slice of one input (see
+//! [`crate::parallel_merge`]).
 
 use pdm::{
-    BlockReader, BlockWriter, BufferPool, Disk, PdmError, PdmResult, PrefetchReader, Record,
-    WriteBehindWriter,
+    BlockReader, BlockWriter, BufferPool, Disk, PdmError, PdmResult, Record, WriteBehindWriter,
 };
 
 use crate::config::PipelineConfig;
@@ -45,17 +45,6 @@ impl<R: Record, S: RecordStream<R>> RecordStream<R> for &mut S {
 impl<R: Record> RecordStream<R> for BlockReader<R> {
     fn next_record(&mut self) -> PdmResult<Option<R>> {
         BlockReader::next_record(self)
-    }
-
-    fn next_block(&mut self, buf: &mut Vec<R>, max: usize) -> PdmResult<usize> {
-        buf.clear();
-        self.read_into(buf, max)
-    }
-}
-
-impl<R: Record> RecordStream<R> for PrefetchReader<R> {
-    fn next_record(&mut self) -> PdmResult<Option<R>> {
-        PrefetchReader::next_record(self)
     }
 
     fn next_block(&mut self, buf: &mut Vec<R>, max: usize) -> PdmResult<usize> {
@@ -159,32 +148,36 @@ impl<R: Record, S: RecordStream<R>> RecordStream<R> for Bounded<S> {
     }
 }
 
-/// The output of a file-backed merge: a pooled block writer, or a
-/// write-behind writer when the pipeline is on (the merge then overlaps its
-/// output transfers). Both meter identically.
+/// A merge worker's output: a pooled block writer, or a write-behind writer
+/// when the pipeline is on (the merge then overlaps its output transfers),
+/// either writing its own block range of the output file. Both meter
+/// identically.
 pub(crate) enum MergeWriter<R: Record> {
     Sync(BlockWriter<R>),
     Pipelined(WriteBehindWriter<R>),
 }
 
 impl<R: Record> MergeWriter<R> {
-    /// Creates `name`; a write-behind queue is sized for `streams`
-    /// concurrent request streams on the device.
-    pub(crate) fn create(
+    /// Opens the existing file `name` for writing from block `block` on; a
+    /// write-behind queue is sized for `streams` concurrent request streams
+    /// on the device.
+    pub(crate) fn open_at(
         disk: &Disk,
         name: &str,
+        block: u64,
         pipeline: &PipelineConfig,
         streams: usize,
         pool: &BufferPool,
     ) -> PdmResult<Self> {
         Ok(if pipeline.enabled {
-            MergeWriter::Pipelined(disk.create_write_behind::<R>(
+            MergeWriter::Pipelined(disk.open_write_behind_at::<R>(
                 name,
+                block,
                 pipeline.depth_for(disk.model(), streams),
                 pool.clone(),
             )?)
         } else {
-            MergeWriter::Sync(disk.create_writer_pooled::<R>(name, Some(pool.clone()))?)
+            MergeWriter::Sync(disk.open_writer_at::<R>(name, block, Some(pool.clone()))?)
         })
     }
 
@@ -195,10 +188,11 @@ impl<R: Record> MergeWriter<R> {
         }
     }
 
-    pub(crate) fn finish(self) -> PdmResult<u64> {
+    /// Closes the writer, returning its partial last block unwritten.
+    pub(crate) fn finish_partial(self) -> PdmResult<Vec<R>> {
         match self {
-            MergeWriter::Sync(w) => w.finish(),
-            MergeWriter::Pipelined(w) => w.finish(),
+            MergeWriter::Sync(w) => w.finish_partial(),
+            MergeWriter::Pipelined(w) => w.finish_partial(),
         }
     }
 }

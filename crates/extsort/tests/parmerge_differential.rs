@@ -12,7 +12,7 @@ use extsort::{
     balanced_kway_sort, merge_sorted_files, merge_sorted_files_kernel, polyphase_sort,
     ExtSortConfig, PipelineConfig, SortKernel,
 };
-use pdm::{Disk, IoSnapshot, Record};
+use pdm::{Disk, IoSnapshot, Record, ScratchDir};
 use workloads::{generate_block, Benchmark, Layout};
 
 const MERGE_WORKERS: [usize; 3] = [1, 2, 4];
@@ -187,5 +187,200 @@ fn parallel_merge_handles_empty_and_tiny_inputs() {
             d_par.read_file::<u32>("out").unwrap(),
             "n = {n}"
         );
+    }
+}
+
+/// The merge configurations every in-place differential below runs: the
+/// sequential oracle, explicit worker counts, and the adaptive plan.
+fn merge_configs() -> Vec<(String, PipelineConfig)> {
+    let mut configs = vec![("off".to_string(), PipelineConfig::off())];
+    for w in [1usize, 2, 4, 8] {
+        configs.push((
+            format!("workers {w}"),
+            PipelineConfig::off().with_merge_workers(w),
+        ));
+    }
+    configs.push(("adaptive(2)".to_string(), PipelineConfig::adaptive(2)));
+    configs
+}
+
+/// An in-memory disk and a file disk with the same block size.
+fn both_disks(block_bytes: usize) -> Vec<(Disk, Option<ScratchDir>)> {
+    let scratch = ScratchDir::new("parmerge-diff").unwrap();
+    let files = Disk::on_files(scratch.path(), block_bytes);
+    vec![(Disk::in_memory(block_bytes), None), (files, Some(scratch))]
+}
+
+#[test]
+fn polyphase_unaligned_runs_identical_for_every_plan() {
+    // M = 100 records over 16-record blocks: every run boundary falls
+    // mid-block, so tapes carry partly read input blocks and steps carry
+    // partly written output blocks between merges. The 3-record last run
+    // can lie wholly inside a carried block.
+    let data = generate_block(Benchmark::Uniform, 35, Layout::single(5_003));
+    for (label, mem) in [("unaligned", 100usize), ("aligned", 128)] {
+        for (disk_no, (disk, _keep)) in both_disks(64).into_iter().enumerate() {
+            let mut baseline: Option<(Vec<u32>, IoSnapshot, u64)> = None;
+            for (name, pipeline) in merge_configs() {
+                let cfg = ExtSortConfig::new(mem)
+                    .with_tapes(5)
+                    .with_pipeline(pipeline);
+                let out = format!("out.{label}.{disk_no}.{}", name.replace(' ', "_"));
+                disk.write_file("in", &data).unwrap();
+                let before = disk.stats().snapshot();
+                let report = polyphase_sort::<u32>(&disk, "in", &out, "pp", &cfg).unwrap();
+                let io = disk.stats().snapshot().delta(&before);
+                disk.remove("in").unwrap();
+                let bytes = disk.read_file::<u32>(&out).unwrap();
+                let selects = report.comparisons + report.key_ops;
+                if name == "workers 4" {
+                    assert!(
+                        report.merge_workers.contains(&4),
+                        "{name}: {:?}",
+                        report.merge_workers
+                    );
+                }
+                match &baseline {
+                    None => baseline = Some((bytes, io, selects)),
+                    Some((b_bytes, b_io, b_selects)) => {
+                        let at = format!("{label} M, disk {disk_no}, {name}");
+                        assert_eq!(&bytes, b_bytes, "{at}: outputs differ");
+                        assert_eq!(&io, b_io, "{at}: I/O differs");
+                        if !name.starts_with("workers") || name == "workers 1" {
+                            assert_eq!(selects, *b_selects, "{at}: selects differ");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn single_pass_merge_identical_for_every_plan() {
+    // Unaligned inputs: 333, 250 and 1 000 records over 16-record blocks.
+    let inputs: Vec<Vec<u32>> = [333u32, 250, 1_000]
+        .iter()
+        .enumerate()
+        .map(|(k, &n)| (0..n).map(|i| i * 7 + k as u32).collect())
+        .collect();
+    let names: Vec<String> = (0..inputs.len()).map(|i| format!("in{i}")).collect();
+    for (disk_no, (disk, _keep)) in both_disks(64).into_iter().enumerate() {
+        for (i, v) in inputs.iter().enumerate() {
+            disk.write_file(&names[i], v).unwrap();
+        }
+        let mut baseline: Option<(Vec<u32>, IoSnapshot)> = None;
+        for (name, pipeline) in merge_configs() {
+            let out = format!("out.{disk_no}.{}", name.replace(' ', "_"));
+            let report =
+                merge_sorted_files_kernel::<u32>(&disk, &names, &out, &pipeline, SortKernel::Radix)
+                    .unwrap();
+            let bytes = disk.read_file::<u32>(&out).unwrap();
+            match &baseline {
+                None => baseline = Some((bytes, report.io)),
+                Some((b_bytes, b_io)) => {
+                    assert_eq!(&bytes, b_bytes, "disk {disk_no}, {name}: outputs differ");
+                    assert_eq!(&report.io, b_io, "disk {disk_no}, {name}: I/O differs");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn seeded_layouts_balance_and_match_one_worker() {
+    // A seeded sweep over what the fence brackets must get right: runs of
+    // heavily duplicated keys, packed back to back into shared files so
+    // most segments start and end mid-block, merged with every worker
+    // count. Each plan stays within one share plus one record per run of
+    // the ideal, and every worker count emits the one-worker merge's
+    // records and meters its I/O.
+    use extsort::{parallel_merge_segments, plan_cuts, MergeSegment};
+    use pdm::BufferPool;
+    use sim::rng::{Pcg64, Rng};
+    let mut rng = Pcg64::new(36);
+    let pool = BufferPool::default();
+    for case in 0..120 {
+        let disk = Disk::in_memory([16usize, 64, 256][case % 3]);
+        let alphabet = 1 + rng.below(64) as u32;
+        let mut segments = Vec::new();
+        for f in 0..1 + rng.below_usize(3) {
+            let name = format!("f{f}");
+            let mut records = Vec::new();
+            for _ in 0..1 + rng.below_usize(4) {
+                let mut run: Vec<u32> = (0..rng.below(300))
+                    .map(|_| rng.below(u64::from(alphabet)) as u32)
+                    .collect();
+                run.sort_unstable();
+                segments.push(MergeSegment::new(
+                    name.clone(),
+                    records.len() as u64,
+                    run.len() as u64,
+                ));
+                records.extend(run);
+            }
+            disk.write_file(&name, &records).unwrap();
+        }
+        let total: u64 = segments.iter().map(|s| s.len).sum();
+        let mut baseline: Option<(Vec<u32>, IoSnapshot)> = None;
+        for workers in 1..=8usize {
+            let plan = plan_cuts::<u32>(&disk, &segments, workers, &pool).unwrap();
+            let bound = total.div_ceil(workers as u64) + segments.len() as u64;
+            for w in 0..plan.workers() {
+                assert!(
+                    plan.worker_records(w) <= bound,
+                    "case {case}, {workers} workers: worker {w} got {} > {bound}",
+                    plan.worker_records(w)
+                );
+            }
+            let before = disk.stats().snapshot();
+            let mut out = Vec::new();
+            parallel_merge_segments::<u32, _>(&disk, &segments, workers, &pool, |b| {
+                out.extend_from_slice(b);
+                Ok(())
+            })
+            .unwrap();
+            let io = disk.stats().snapshot().delta(&before);
+            match &baseline {
+                None => baseline = Some((out, io)),
+                Some((b_out, b_io)) => {
+                    assert_eq!(&out, b_out, "case {case}, {workers} workers: output");
+                    assert_eq!(&io, b_io, "case {case}, {workers} workers: I/O");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn seeded_polyphase_shapes_match_sequential() {
+    // Random sizes, memory budgets and tape counts, so carried input
+    // blocks and pending output blocks land everywhere: every worker count
+    // writes the sequential sort's bytes and meters its I/O.
+    use sim::rng::{Pcg64, Rng};
+    let mut rng = Pcg64::new(37);
+    for case in 0..40 {
+        let block = [16usize, 64][case % 2];
+        let tapes = 3 + rng.below_usize(4);
+        let mem = tapes * block / 4 + rng.below_usize(100);
+        let n = rng.below(3_000);
+        let data = generate_block(Benchmark::ZipfDuplicates, case as u64, Layout::single(n));
+        let cfg = ExtSortConfig::new(mem).with_tapes(tapes);
+        let (d_seq, _, io_seq) = metered(block, &data, |d| {
+            polyphase_sort::<u32>(d, "in", "out", "pp", &cfg).unwrap()
+        });
+        let expect = d_seq.read_file::<u32>("out").unwrap();
+        let workers = 2 + rng.below_usize(7);
+        let cfg_par = cfg.clone().with_merge_workers(workers);
+        let (d_par, _, io_par) = metered(block, &data, |d| {
+            polyphase_sort::<u32>(d, "in", "out", "pp", &cfg_par).unwrap()
+        });
+        let at = format!("case {case}: n {n}, M {mem}, T {tapes}, block {block}, W {workers}");
+        assert_eq!(
+            d_par.read_file::<u32>("out").unwrap(),
+            expect,
+            "{at}: output"
+        );
+        assert_eq!(io_par, io_seq, "{at}: I/O");
     }
 }

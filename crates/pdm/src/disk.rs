@@ -10,12 +10,17 @@
 //!   tests that run thousands of sorts.
 //!
 //! Typed, block-buffered access is layered on top in [`crate::file`].
+//!
+//! **Fence index.** Every typed writer records the `sort_key` of the first
+//! record of each block it writes ([`Disk::fences`]): one `u64` per block,
+//! kept per file by the disk. A merge planner brackets rank cuts with it
+//! without reading the file. `rename` moves a file's fences; `remove`,
+//! `truncate` and re-creating the file drop them.
 
 use std::collections::HashMap;
 use std::fs;
 #[cfg(not(unix))]
-use std::io::Read;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -60,6 +65,9 @@ struct DiskInner {
     stats: IoStats,
     model: DiskModel,
     label: String,
+    /// File name → `sort_key` of the first record of each block (`None`
+    /// for a block written without one).
+    fences: Mutex<HashMap<String, Vec<Option<u64>>>>,
 }
 
 #[derive(Debug)]
@@ -70,7 +78,8 @@ enum BackendImpl {
 
 /// An open file on a disk (byte-granular; used by the typed block layer).
 /// Each handle has one owner — a reader, a writer, or the pipelined worker
-/// it was moved to — so a real file needs no lock around its seek position.
+/// it was moved to. Reads and writes are positional (`pread`/`pwrite` on
+/// unix), so several handles can fill disjoint ranges of one file at once.
 #[derive(Debug)]
 pub(crate) enum RawFile {
     Mem(Arc<Mutex<Vec<u8>>>),
@@ -84,12 +93,14 @@ impl Disk {
     }
 
     /// Creates a file-backed disk storing its files under `dir` (which must
-    /// exist — typically a [`crate::tempdir::ScratchDir`]).
+    /// exist — typically a [`crate::tempdir::ScratchDir`]). Its files live
+    /// in the host's page cache, so it is priced by [`DiskModel::host`].
     pub fn on_files(dir: impl Into<PathBuf>, block_bytes: usize) -> Self {
-        Self::new(Backend::Files(dir.into()), block_bytes)
+        Self::new(Backend::Files(dir.into()), block_bytes).with_model(DiskModel::host())
     }
 
-    /// Creates a disk with an explicit backend.
+    /// Creates a disk with an explicit backend, priced by the paper's
+    /// [`DiskModel::scsi_2000`].
     ///
     /// # Panics
     /// Panics if `block_bytes == 0`.
@@ -106,6 +117,7 @@ impl Disk {
                 stats: IoStats::new(),
                 model: DiskModel::scsi_2000(),
                 label: "disk".to_string(),
+                fences: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -124,6 +136,7 @@ impl Disk {
             stats: arc.stats.clone(),
             model: arc.model.clone(),
             label: arc.label.clone(),
+            fences: Mutex::new(arc.fences.lock().expect("fence index poisoned").clone()),
         })
     }
 
@@ -169,6 +182,12 @@ impl Disk {
     /// Creates a new file, failing if it already exists.
     pub(crate) fn create_raw(&self, name: &str) -> PdmResult<RawFile> {
         self.inner.stats.on_create();
+        let raw = self.create_backing(name)?;
+        self.drop_fences(name);
+        Ok(raw)
+    }
+
+    fn create_backing(&self, name: &str) -> PdmResult<RawFile> {
         match &self.inner.backend {
             BackendImpl::Memory(map) => {
                 let mut map = map.lock().unwrap();
@@ -213,8 +232,60 @@ impl Disk {
         }
     }
 
+    /// Opens an existing file for positional writes (another handle on it:
+    /// several writers may fill disjoint block ranges at once).
+    pub(crate) fn open_raw_write(&self, name: &str) -> PdmResult<RawFile> {
+        match &self.inner.backend {
+            BackendImpl::Memory(map) => Ok(RawFile::Mem(
+                map.lock()
+                    .unwrap()
+                    .get(name)
+                    .ok_or_else(|| PdmError::NotFound(name.to_string()))?
+                    .clone(),
+            )),
+            BackendImpl::Files { dir } => Ok(RawFile::File(
+                fs::OpenOptions::new()
+                    .write(true)
+                    .open(dir.join(name))
+                    .map_err(|_| PdmError::NotFound(name.to_string()))?,
+            )),
+        }
+    }
+
+    /// Records `key` as the fence of block `block` of `name`.
+    pub(crate) fn set_fence(&self, name: &str, block: u64, key: u64) {
+        let mut fences = self.inner.fences.lock().expect("fence index poisoned");
+        if !fences.contains_key(name) {
+            fences.insert(name.to_string(), Vec::new());
+        }
+        let keys = fences.get_mut(name).expect("inserted above");
+        let b = block as usize;
+        if keys.len() <= b {
+            keys.resize(b + 1, None);
+        }
+        keys[b] = Some(key);
+    }
+
+    fn drop_fences(&self, name: &str) {
+        self.inner
+            .fences
+            .lock()
+            .expect("fence index poisoned")
+            .remove(name);
+    }
+
+    /// The fence index of `name`: the `sort_key` of the first record of
+    /// every block written so far, in block order. `None` when the file has
+    /// no index or some block was written without a fence (a record type
+    /// without a sort key, or data written by another process).
+    pub fn fences(&self, name: &str) -> Option<Vec<u64>> {
+        let fences = self.inner.fences.lock().expect("fence index poisoned");
+        fences.get(name)?.iter().copied().collect()
+    }
+
     /// Deletes a file (idempotent: missing files are ignored).
     pub fn remove(&self, name: &str) -> PdmResult<()> {
+        self.drop_fences(name);
         match &self.inner.backend {
             BackendImpl::Memory(map) => {
                 map.lock().unwrap().remove(name);
@@ -256,6 +327,15 @@ impl Disk {
     /// Renames a file (no data movement, so no I/O is metered — matches a
     /// directory operation on a real filesystem).
     pub fn rename(&self, old: &str, new: &str) -> PdmResult<()> {
+        self.rename_backing(old, new)?;
+        let mut fences = self.inner.fences.lock().expect("fence index poisoned");
+        if let Some(keys) = fences.remove(old) {
+            fences.insert(new.to_string(), keys);
+        }
+        Ok(())
+    }
+
+    fn rename_backing(&self, old: &str, new: &str) -> PdmResult<()> {
         match &self.inner.backend {
             BackendImpl::Memory(map) => {
                 let mut map = map.lock().unwrap();
@@ -286,6 +366,7 @@ impl Disk {
     /// Truncates a file to `bytes` — used by tests to inject torn-write
     /// corruption that readers must detect.
     pub fn truncate(&self, name: &str, bytes: u64) -> PdmResult<()> {
+        self.drop_fences(name);
         match &self.inner.backend {
             BackendImpl::Memory(map) => {
                 let map = map.lock().unwrap();
@@ -308,16 +389,35 @@ impl Disk {
 }
 
 impl RawFile {
-    /// Appends bytes at the end of the file.
-    pub(crate) fn append(&self, buf: &[u8]) -> PdmResult<()> {
+    /// Writes `buf` at byte `offset`, growing the file if it ends earlier.
+    /// On unix this is a `pwrite`, so handles writing disjoint ranges of one
+    /// file need no coordination.
+    pub(crate) fn write_at(&self, offset: u64, buf: &[u8]) -> PdmResult<()> {
         match self {
             RawFile::Mem(v) => {
-                v.lock().unwrap().extend_from_slice(buf);
+                let mut v = v.lock().unwrap();
+                let start = offset as usize;
+                if start == v.len() {
+                    v.extend_from_slice(buf);
+                } else {
+                    let end = start + buf.len();
+                    if v.len() < end {
+                        v.resize(end, 0);
+                    }
+                    v[start..end].copy_from_slice(buf);
+                }
                 Ok(())
             }
+            #[cfg(unix)]
+            RawFile::File(f) => {
+                use std::os::unix::fs::FileExt;
+                f.write_all_at(buf, offset)?;
+                Ok(())
+            }
+            #[cfg(not(unix))]
             RawFile::File(f) => {
                 let mut h = f;
-                h.seek(SeekFrom::End(0))?;
+                h.seek(SeekFrom::Start(offset))?;
                 h.write_all(buf)?;
                 Ok(())
             }
@@ -377,7 +477,7 @@ impl RawFile {
             RawFile::Mem(_) => Ok(()),
             RawFile::File(f) => {
                 let mut h = f;
-                h.flush()?;
+                std::io::Write::flush(&mut h)?;
                 Ok(())
             }
         }
@@ -399,8 +499,8 @@ mod tests {
     fn create_write_read_roundtrip() {
         for (disk, _guard) in both_backends() {
             let f = disk.create_raw("a").unwrap();
-            f.append(b"hello ").unwrap();
-            f.append(b"world").unwrap();
+            f.write_at(0, b"hello ").unwrap();
+            f.write_at(6, b"world").unwrap();
             f.sync().unwrap();
             let (r, len) = disk.open_raw("a").unwrap();
             assert_eq!(len, 11);
@@ -414,7 +514,7 @@ mod tests {
     fn read_at_offset_and_past_end() {
         for (disk, _guard) in both_backends() {
             let f = disk.create_raw("b").unwrap();
-            f.append(b"0123456789").unwrap();
+            f.write_at(0, b"0123456789").unwrap();
             let (r, _) = disk.open_raw("b").unwrap();
             let mut buf = [0u8; 4];
             assert_eq!(r.read_at(6, &mut buf).unwrap(), 4);
@@ -457,7 +557,7 @@ mod tests {
     fn rename_moves_content() {
         for (disk, _guard) in both_backends() {
             let f = disk.create_raw("old").unwrap();
-            f.append(b"abc").unwrap();
+            f.write_at(0, b"abc").unwrap();
             f.sync().unwrap();
             disk.rename("old", "new").unwrap();
             assert!(!disk.exists("old"));
@@ -479,7 +579,7 @@ mod tests {
     fn len_and_truncate() {
         for (disk, _guard) in both_backends() {
             let f = disk.create_raw("t").unwrap();
-            f.append(&[0u8; 100]).unwrap();
+            f.write_at(0, &[0u8; 100]).unwrap();
             f.sync().unwrap();
             assert_eq!(disk.len_bytes("t").unwrap(), 100);
             disk.truncate("t", 37).unwrap();

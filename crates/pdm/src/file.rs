@@ -20,13 +20,22 @@
 //! identical byte ranges, flush at identical block boundaries and meter
 //! identical [`crate::stats::IoStats`] — the differential suites hold them
 //! to that.
+//!
+//! # Positional writes
+//!
+//! A writer writes block `b` at byte `b · block_bytes`. [`Disk::open_writer_at`]
+//! opens one on an existing file at any block, so several writers can fill
+//! disjoint block ranges of one file concurrently (the parallel merge gives
+//! each worker its own); [`BlockWriter::finish_partial`] hands back a
+//! partial last block instead of writing it. Every block write records the
+//! block's fence ([`Disk::fences`]).
 
 use crate::disk::{Disk, RawFile};
 use crate::error::{PdmError, PdmResult};
 use crate::pool::BufferPool;
 use crate::record::Record;
 
-/// Appends records to a disk file, one block at a time.
+/// Writes records to a disk file, one block at a time.
 #[derive(Debug)]
 pub struct BlockWriter<R: Record> {
     raw: RawFile,
@@ -35,6 +44,8 @@ pub struct BlockWriter<R: Record> {
     buf: Vec<u8>,
     pool: Option<BufferPool>,
     records_per_block: usize,
+    /// Index of the block the buffer fills.
+    block: u64,
     written: u64,
     finished: bool,
     /// Marks this writer as an open request stream for queue diagnostics.
@@ -92,22 +103,49 @@ impl Disk {
     ) -> PdmResult<BlockWriter<R>> {
         let records_per_block = records_per_block::<R>(self)?;
         let raw = self.create_raw(name)?;
+        Ok(self.block_writer(raw, name, 0, records_per_block, pool))
+    }
+
+    /// Opens the existing file `name` for writing from block `block` on
+    /// (records `block · records-per-block` onwards), leaving the blocks
+    /// before it alone. Writers opened at disjoint block ranges of one file
+    /// may run concurrently.
+    pub fn open_writer_at<R: Record>(
+        &self,
+        name: &str,
+        block: u64,
+        pool: Option<BufferPool>,
+    ) -> PdmResult<BlockWriter<R>> {
+        let records_per_block = records_per_block::<R>(self)?;
+        let raw = self.open_raw_write(name)?;
+        Ok(self.block_writer(raw, name, block, records_per_block, pool))
+    }
+
+    fn block_writer<R: Record>(
+        &self,
+        raw: RawFile,
+        name: &str,
+        block: u64,
+        records_per_block: usize,
+        pool: Option<BufferPool>,
+    ) -> BlockWriter<R> {
         let buf = match &pool {
             Some(p) => p.take(self.block_bytes()),
             None => Vec::with_capacity(self.block_bytes()),
         };
-        Ok(BlockWriter {
+        BlockWriter {
             raw,
             disk: self.clone(),
             name: name.to_string(),
             buf,
             pool,
             records_per_block,
+            block,
             written: 0,
             finished: false,
             _stream: self.stats().stream_opened(),
             _marker: std::marker::PhantomData,
-        })
+        }
     }
 
     /// Opens a file and returns a typed block reader positioned at record 0.
@@ -216,8 +254,7 @@ impl<R: Record> BlockWriter<R> {
         while !rest.is_empty() {
             if self.buf.is_empty() && rest.len() >= rpb {
                 if let Some(bytes) = R::view_bytes(&rest[..rpb]) {
-                    self.raw.append(bytes)?;
-                    self.disk.stats().on_write(bytes.len() as u64);
+                    self.write_block(bytes)?;
                     self.written += rpb as u64;
                     rest = &rest[rpb..];
                     continue;
@@ -254,16 +291,48 @@ impl<R: Record> BlockWriter<R> {
         Ok(self.written)
     }
 
+    /// Closes the file *without* writing the partial last block and
+    /// returns its records (empty when the writer stopped on a block
+    /// boundary): whoever writes the rest of that block writes it once.
+    pub fn finish_partial(mut self) -> PdmResult<Vec<R>> {
+        let mut rest = Vec::with_capacity(self.buf.len() / R::SIZE);
+        R::read_slice_from(&self.buf, &mut rest);
+        self.buf.clear();
+        self.raw.sync()?;
+        self.finished = true;
+        Ok(rest)
+    }
+
     /// File name this writer targets.
     pub fn name(&self) -> &str {
         &self.name
     }
 
     fn flush_block(&mut self) -> PdmResult<()> {
-        self.raw.append(&self.buf)?;
-        self.disk.stats().on_write(self.buf.len() as u64);
+        let buf = std::mem::take(&mut self.buf);
+        let result = self.write_block(&buf);
+        self.buf = buf;
         self.buf.clear();
+        result
+    }
+
+    /// Writes `bytes` as the next block: one metered block write, plus the
+    /// block's fence.
+    fn write_block(&mut self, bytes: &[u8]) -> PdmResult<()> {
+        let offset = self.block * (self.records_per_block * R::SIZE) as u64;
+        self.raw.write_at(offset, bytes)?;
+        self.disk.stats().on_write(bytes.len() as u64);
+        record_fence::<R>(&self.disk, &self.name, self.block, bytes);
+        self.block += 1;
         Ok(())
+    }
+}
+
+/// Records the fence of block `block` of `name` — the `sort_key` of the
+/// first record of its encoded bytes — for record types that have one.
+pub(crate) fn record_fence<R: Record>(disk: &Disk, name: &str, block: u64, bytes: &[u8]) {
+    if R::HAS_SORT_KEY && bytes.len() >= R::SIZE {
+        disk.set_fence(name, block, R::read_from(&bytes[..R::SIZE]).sort_key());
     }
 }
 
@@ -390,6 +459,16 @@ impl<R: Record> BlockReader<R> {
         match R::view_slice(&self.buf[off..]) {
             Some(view) => Ok(Some(view)),
             None => Ok(Some(&[])),
+        }
+    }
+
+    /// Records of the buffered block at or after the cursor — what
+    /// [`BlockReader::read_into`] can still return without another read.
+    pub fn buffered(&self) -> usize {
+        if self.pos >= self.buf_start && self.pos < self.buf_end {
+            (self.buf_end - self.pos) as usize
+        } else {
+            0
         }
     }
 
@@ -857,6 +936,65 @@ mod tests {
             r.consume(view.len());
             let next = r.next_block_view().unwrap().unwrap();
             assert_eq!(next, &[8, 9, 10, 11]);
+        }
+    }
+
+    #[test]
+    fn fence_index_follows_the_file() {
+        for (disk, _g) in disks() {
+            // 4 u32 records per block: fences are records 0, 4 and 8.
+            let data: Vec<u32> = (0..10).map(|i| i * 3).collect();
+            disk.write_file("f", &data).unwrap();
+            assert_eq!(disk.fences("f"), Some(vec![0, 12, 24]));
+            disk.rename("f", "g").unwrap();
+            assert_eq!(disk.fences("f"), None, "rename moves the index");
+            assert_eq!(disk.fences("g"), Some(vec![0, 12, 24]));
+            disk.truncate("g", 16).unwrap();
+            assert_eq!(disk.fences("g"), None, "truncate drops the index");
+            disk.write_file("h", &data).unwrap();
+            disk.remove("h").unwrap();
+            assert_eq!(disk.fences("h"), None, "remove drops the index");
+            disk.write_file("h", &[7u32, 8]).unwrap();
+            assert_eq!(disk.fences("h"), Some(vec![7]), "re-creating starts afresh");
+            // A record type without a sort key leaves no index.
+            disk.write_file("s", &staged(&data)).unwrap();
+            assert_eq!(disk.fences("s"), None);
+            // The write-behind writer records fences too.
+            let mut w = disk
+                .create_write_behind::<u32>("wb", 2, BufferPool::default())
+                .unwrap();
+            w.push_all(&data).unwrap();
+            w.finish().unwrap();
+            assert_eq!(disk.fences("wb"), Some(vec![0, 12, 24]));
+        }
+    }
+
+    #[test]
+    fn positional_writers_fill_disjoint_blocks() {
+        for (disk, _g) in disks() {
+            let data: Vec<u32> = (0..14).collect();
+            disk.create_writer::<u32>("p").unwrap().finish().unwrap();
+            let before = disk.stats().snapshot();
+            // Blocks 2.. first, from a write-behind writer; its partial
+            // last block comes back unwritten.
+            let mut late = disk
+                .open_write_behind_at::<u32>("p", 2, 2, BufferPool::default())
+                .unwrap();
+            late.push_all(&data[8..]).unwrap();
+            assert_eq!(late.finish_partial().unwrap(), vec![12, 13]);
+            // Blocks 0 and 1 from a plain writer.
+            let mut early = disk.open_writer_at::<u32>("p", 0, None).unwrap();
+            early.push_all(&data[..8]).unwrap();
+            assert!(early.finish_partial().unwrap().is_empty());
+            // The tail block, written once.
+            let mut tail = disk.open_writer_at::<u32>("p", 3, None).unwrap();
+            tail.push_all(&data[12..]).unwrap();
+            tail.finish().unwrap();
+            assert_eq!(disk.read_file::<u32>("p").unwrap(), data);
+            assert_eq!(disk.fences("p"), Some(vec![0, 4, 8, 12]));
+            let io = disk.stats().snapshot().delta(&before);
+            assert_eq!((io.blocks_written, io.bytes_written), (4, 56));
+            assert_eq!(io.files_created, 0, "opening a file creates nothing");
         }
     }
 

@@ -4,7 +4,9 @@
 //! positioning overhead (`seek`) plus `bytes / bandwidth` of transfer. The
 //! default model approximates the 8 GB SCSI drives of the paper's Alpha
 //! cluster (c. 2000 hardware); a faster model is provided for "what would
-//! this look like today" ablations.
+//! this look like today" ablations, and [`DiskModel::host`] prices the
+//! file-backed disks of a real-file sort, whose blocks move through the
+//! host's page cache.
 //!
 //! [`ContentionModel`] extends the linear model with queueing: when several
 //! request streams share one device, aggregate bandwidth is fair-shared
@@ -118,6 +120,30 @@ impl DiskModel {
         }
     }
 
+    /// The host's page cache, which every file-backed [`crate::Disk`] uses:
+    /// a block transfer is a `pread`/`pwrite` memory copy, so a random block
+    /// costs the same as a sequential one and nothing settles. The queue
+    /// depth of 2 keeps pipelined readers and writers double-buffered; a
+    /// deeper queue would hold one more block per stream for each slot.
+    pub fn host() -> Self {
+        DiskModel {
+            name: "host page cache (5us access, 4GB/s)",
+            seek: SimDuration::from_micros(5.0),
+            bytes_per_sec: 4.0e9,
+            sequential_seek_fraction: 1.0,
+            contention: ContentionModel {
+                queue_depth: 2,
+                settle: SimDuration::ZERO,
+            },
+        }
+    }
+
+    /// Whether this is the [`DiskModel::host`] profile, whose transfers are
+    /// memory copies on the cores a merge runs on.
+    pub fn is_host(&self) -> bool {
+        *self == DiskModel::host()
+    }
+
     /// Service time for one sequential block transfer of `bytes`.
     pub fn sequential_block(&self, bytes: u64) -> SimDuration {
         self.seek.scale(self.sequential_seek_fraction) + self.transfer(bytes)
@@ -203,6 +229,16 @@ mod tests {
     fn random_costs_more_than_sequential() {
         let m = DiskModel::scsi_2000();
         assert!(m.random_block(32 * 1024) > m.sequential_block(32 * 1024));
+    }
+
+    #[test]
+    fn host_prices_random_like_sequential_and_never_queues() {
+        let m = DiskModel::host();
+        assert!(m.is_host() && !DiskModel::nvme_modern().is_host());
+        assert_eq!(m.random_block(1 << 18), m.sequential_block(1 << 18));
+        for io in sample_deltas() {
+            assert_eq!(m.shared_service_time(&io, 8), m.service_time(&io));
+        }
     }
 
     #[test]
@@ -331,6 +367,7 @@ mod tests {
             DiskModel::scsi_2000(),
             DiskModel::nvme_modern(),
             DiskModel::free(),
+            DiskModel::host(),
             test_model(),
         ] {
             for io in sample_deltas() {

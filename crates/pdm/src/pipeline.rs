@@ -27,7 +27,7 @@ use std::thread::JoinHandle;
 
 use crate::disk::{Disk, RawFile};
 use crate::error::{PdmError, PdmResult};
-use crate::file::records_per_block;
+use crate::file::{record_fence, records_per_block};
 use crate::pool::BufferPool;
 use crate::record::Record;
 use crate::stats::IoStats;
@@ -263,13 +263,16 @@ impl<R: Record> Drop for PrefetchReader<R> {
     }
 }
 
-/// Appends records to a disk file while a background worker performs the
+/// Writes records to a disk file while a background worker performs the
 /// block writes.
 #[derive(Debug)]
 pub struct WriteBehindWriter<R: Record> {
+    disk: Disk,
     name: String,
     buf: Vec<u8>,
     block_bytes: usize,
+    /// Index of the block the buffer fills.
+    block: u64,
     tx: Option<SyncSender<Vec<u8>>>,
     worker: Option<JoinHandle<PdmResult<()>>>,
     pool: BufferPool,
@@ -295,15 +298,44 @@ impl Disk {
     ) -> PdmResult<WriteBehindWriter<R>> {
         let rpb = records_per_block::<R>(self)?;
         let raw = self.create_raw(name)?;
+        Ok(self.write_behind(raw, name, 0, rpb, depth, pool))
+    }
+
+    /// The write-behind counterpart of [`Disk::open_writer_at`]: writes the
+    /// existing file `name` from block `block` on.
+    pub fn open_write_behind_at<R: Record>(
+        &self,
+        name: &str,
+        block: u64,
+        depth: usize,
+        pool: BufferPool,
+    ) -> PdmResult<WriteBehindWriter<R>> {
+        let rpb = records_per_block::<R>(self)?;
+        let raw = self.open_raw_write(name)?;
+        Ok(self.write_behind(raw, name, block, rpb, depth, pool))
+    }
+
+    fn write_behind<R: Record>(
+        &self,
+        raw: RawFile,
+        name: &str,
+        block: u64,
+        rpb: usize,
+        depth: usize,
+        pool: BufferPool,
+    ) -> WriteBehindWriter<R> {
+        let block_bytes = rpb * R::SIZE;
         let (tx, rx) = sync_channel::<Vec<u8>>(depth.max(1));
         let worker = std::thread::Builder::new()
             .name(format!("writebehind:{name}"))
             .spawn({
                 let stats = self.stats().clone();
                 let pool = pool.clone();
+                let mut offset = block * block_bytes as u64;
                 move || -> PdmResult<()> {
                     while let Ok(buf) = rx.recv() {
-                        raw.append(&buf)?;
+                        raw.write_at(offset, &buf)?;
+                        offset += buf.len() as u64;
                         stats.on_write(buf.len() as u64);
                         pool.put(buf);
                     }
@@ -312,10 +344,12 @@ impl Disk {
                 }
             })
             .expect("spawn write-behind worker");
-        Ok(WriteBehindWriter {
+        WriteBehindWriter {
+            disk: self.clone(),
             name: name.to_string(),
             buf: pool.take(self.block_bytes()),
-            block_bytes: rpb * R::SIZE,
+            block_bytes,
+            block,
             tx: Some(tx),
             worker: Some(worker),
             pool,
@@ -323,7 +357,7 @@ impl Disk {
             finished: false,
             _stream: self.stats().stream_opened(),
             _marker: std::marker::PhantomData,
-        })
+        }
     }
 }
 
@@ -385,16 +419,32 @@ impl<R: Record> WriteBehindWriter<R> {
             let tail = std::mem::take(&mut self.buf);
             self.ship(tail)?;
         }
+        self.close().map(|()| self.written)
+    }
+
+    /// Like [`crate::BlockWriter::finish_partial`]: waits for the queued
+    /// blocks, then returns the records of the partial last block unwritten.
+    pub fn finish_partial(mut self) -> PdmResult<Vec<R>> {
+        let mut rest = Vec::with_capacity(self.buf.len() / R::SIZE);
+        R::read_slice_from(&self.buf, &mut rest);
+        self.buf.clear();
+        self.close().map(|()| rest)
+    }
+
+    /// Closes the queue and waits for the worker to drain and sync.
+    fn close(&mut self) -> PdmResult<()> {
         self.finished = true;
-        drop(self.tx.take()); // close the queue: the worker drains and syncs
+        drop(self.tx.take());
         match self.worker.take().expect("finish called twice").join() {
-            Ok(result) => result.map(|()| self.written),
+            Ok(result) => result,
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
 
     /// Sends one block to the worker, surfacing any write error.
     fn ship(&mut self, block: Vec<u8>) -> PdmResult<()> {
+        record_fence::<R>(&self.disk, &self.name, self.block, &block);
+        self.block += 1;
         let sender = self.tx.as_ref().expect("ship after finish");
         if sender.send(block).is_err() {
             // The worker exited early — only because an append failed.

@@ -302,16 +302,15 @@ def check_parmerge(doc):
                 or row["probe_random_reads"] < 0:
             fail(f"({kernel}, {workers}): probe_random_reads must be a "
                  "non-negative integer")
+        # Cuts come from the fence index: no row probes.
+        if row["probe_random_reads"] != 0:
+            fail(f"({kernel}, {workers}): no row may meter a probe, got "
+                 f"{row['probe_random_reads']}")
         if workers == 1:
             if abs(row["speedup"] - 1.0) > 1e-6:
                 fail(f"({kernel}, 1): baseline speedup must be 1.0, "
                      f"got {row['speedup']}")
-            if row["probe_random_reads"] != 0:
-                fail(f"({kernel}, 1): the sequential row must not probe")
         else:
-            if row["probe_random_reads"] == 0:
-                fail(f"({kernel}, {workers}): parallel rows must meter "
-                     "splitter probes")
             if row["speedup"] <= 1.0:
                 fail(f"({kernel}, {workers}): parallel speedup must exceed "
                      f"1.0, got {row['speedup']}")
